@@ -160,7 +160,7 @@ def _derived_leaves(tree: Dict[str, Any]) -> Iterator[Tuple[str, float]]:
     # E20: the LLFT leader fast path against the active stack's p50 —
     # sim-time ratio, so machine-independent, but soft-warn only (the
     # "latency" token flips it to lower-is-better; it is deliberately
-    # NOT in GATED_METRICS while the llft mode is young)
+    # NOT in GATED_METRICS while the llft ordering is young)
     e20 = tree.get("e20_llft_vs_active", {})
     leader = e20.get("low_load_leader_path_p50_latency_ms")
     active = e20.get("low_load_p50_latency_active_ms")
@@ -169,7 +169,7 @@ def _derived_leaves(tree: Dict[str, Any]) -> Iterator[Tuple[str, float]]:
         yield ("derived.latency_ratio_llft_leader_over_active_p50",
                leader / active)
     # E21: overlay vs flat goodput at 100 members — sim-time ratio, so
-    # machine-independent, but soft-warn only while overlay_mode is
+    # machine-independent, but soft-warn only while the overlay is
     # young (deliberately NOT in GATED_METRICS)
     e21 = tree.get("e21_overlay_scaling", {})
     by_mode = {row.get("mode"): row for row in e21.get("series", [])

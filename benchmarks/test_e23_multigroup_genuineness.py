@@ -62,7 +62,7 @@ def _layout(k: int):
 
 def run_leg(k: int):
     pids, groups, bridges = _layout(k)
-    cfg = FTMPConfig(multigroup_mode=True,
+    cfg = FTMPConfig(ordering="multigroup",
                      heartbeat_interval=0.020,
                      suspect_timeout=1.0)
     c = make_multigroup_cluster(pids, groups, config=cfg, seed=k)

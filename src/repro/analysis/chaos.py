@@ -140,7 +140,7 @@ def chaos_config_for(mode: str, scenario: str) -> FTMPConfig:
     cfg = default_chaos_config()
     if mode == "llft":
         leader = LLFT_LEADER_PID if scenario == "leader_crash" else 0
-        cfg = dataclasses.replace(cfg, llft_mode=True, llft_leader_pid=leader)
+        cfg = dataclasses.replace(cfg, ordering="llft", llft_leader_pid=leader)
     elif mode == "overlay":
         # 40 ms summaries: still inside the campaign's liveness horizon
         # (half the 150 ms suspect timeout), while an interior relay's
@@ -163,7 +163,7 @@ def chaos_config_for(mode: str, scenario: str) -> FTMPConfig:
             # queue, absorbs the excess.
             cfg = dataclasses.replace(cfg, flow_queue_limit=32)
     elif mode == "multigroup":
-        cfg = dataclasses.replace(cfg, multigroup_mode=True)
+        cfg = dataclasses.replace(cfg, ordering="multigroup")
     return cfg
 
 
@@ -205,7 +205,7 @@ def _schedule_traffic(cluster: Cluster, plan: ChaosPlan,
     # multi-group multicast, cycling through its addressable group-sets;
     # one in three of those is commutative (non-zero conflict class)
     mg_targets = (_mg_target_sets(plan)
-                  if plan.groups and cfg is not None and cfg.multigroup_mode
+                  if plan.groups and cfg is not None and cfg.ordering == "multigroup"
                   else {})
 
     def send(pid: int) -> None:
@@ -464,7 +464,7 @@ def adjust_plan_for(plan: ChaosPlan, cfg: FTMPConfig) -> ChaosPlan:
     """
     if cfg.overlay_mode and plan.scenario == "overload":
         plan.duration += 0.8
-    if cfg.multigroup_mode and not plan.groups:
+    if cfg.ordering == "multigroup" and not plan.groups:
         # any scenario class run in --mode multigroup hosts an
         # overlapping layout (the "overlap" class carries its own).
         # Generic scenarios budget crashes/leaves against the *full*
@@ -563,7 +563,7 @@ def execute_plan(
     )
     result.violations += live_violations
     history = cluster.listeners
-    if cfg.llft_mode:
+    if cfg.ordering == "llft":
         # a crashed LLFT member's transcript can end in a speculative
         # suffix the survivors legitimately reorder: a dead leader
         # fast-path-delivered sends whose OrderInfos reached nobody, and
@@ -613,7 +613,7 @@ def run_chaos_scenario(
     """Run one seeded scenario and check every oracle against it.
 
     An explicit ``config`` wins over ``mode`` (artifact replays pass the
-    recorded config, which already carries ``llft_mode``).
+    recorded config, which already carries its ``ordering``).
     """
     plan = ChaosPlan.generate(seed, scenario, pids)
     cfg = config if config is not None else chaos_config_for(mode, scenario)

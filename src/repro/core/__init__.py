@@ -62,7 +62,7 @@ from .messages import (
 from .multigroup import (
     MULTI_GROUP_CID,
     MULTI_GROUP_COMMUTATIVE_CID,
-    MultiGroupEngine,
+    MultiGroupOrdering,
     MultiGroupStats,
     is_multigroup_delivery,
     is_total_multigroup_delivery,
@@ -111,7 +111,7 @@ __all__ = [
     "MembershipMessage",
     "MultiGroupProposeMessage",
     "MultiGroupCommitMessage",
-    "MultiGroupEngine",
+    "MultiGroupOrdering",
     "MultiGroupStats",
     "MULTI_GROUP_CID",
     "MULTI_GROUP_COMMUTATIVE_CID",

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["FTMPConfig", "ClockMode"]
+__all__ = ["FTMPConfig", "ClockMode", "ORDERINGS"]
+
+#: The ordering disciplines ``FTMPConfig.ordering`` selects from.
+ORDERINGS = ("lamport", "llft", "multigroup")
 
 
 class ClockMode:
@@ -130,25 +133,32 @@ class FTMPConfig:
     #: (legacy behaviour; queue depth still visible via fc_queue_depth).
     flow_queue_limit: int = 0
 
-    # --- LLFT leader-follower fast path (extension, arXiv 1004.1864) -----
-    #: Replace the symmetric Lamport total order with a leader-follower
-    #: ordering discipline: the leader's own reliable FIFO stream *is* the
-    #: total order.  The leader delivers its own Regulars immediately after
-    #: the local send (no all-member ack-stability wait on the critical
-    #: path) and assigns every other member's ordered messages a position
-    #: by multicasting small OrderInfo announcements inside its stream;
-    #: followers deliver by adopting the leader's order.  Stability (§6)
-    #: still advances asynchronously in the background off the piggybacked
-    #: acks — it keeps driving buffer GC and flow-control credits, it just
-    #: leaves the delivery critical path.  At a view change the §7.2 drain
-    #: machinery reconciles the leader's suffix so virtual synchrony
-    #: holds.  LLFT implies agreed delivery (``delivery_mode`` "safe" is
-    #: ignored).  False = the legacy symmetric ordering, bit-identical.
-    llft_mode: bool = False
-    #: Preferred leader pid for LLFT mode.  0 (default) auto-selects the
-    #: smallest pid of the current membership; a configured pid leads
-    #: whenever it is a member and the auto rule applies otherwise (so a
-    #: leader crash deterministically falls back to min(membership)).
+    # --- ordering discipline (paper §6 and two extensions) ----------------
+    #: The delivery rule of every group, one of :data:`ORDERINGS`.
+    #: ``"lamport"`` (default) is the paper's symmetric total order: a
+    #: message is delivered once every member is heard past its timestamp.
+    #: ``"llft"`` is the LLFT leader-follower fast path (arXiv 1004.1864):
+    #: the leader's reliable FIFO stream *is* the total order — it delivers
+    #: its own Regulars at send time and positions every other member's
+    #: ordered messages with OrderInfo announcements in its stream, which
+    #: followers adopt; stability (§6) leaves the delivery critical path
+    #: but still drives buffer GC and flow-control credits, and the §7.2
+    #: drain reconciles the leader's suffix at a view change.
+    #: ``"multigroup"`` is genuine multi-group atomic multicast (arXiv
+    #: 1904.07171): a message addressed to a *set* of groups takes one
+    #: Lamport position per group (a MultiGroupPropose in that group's
+    #: stream), commits at the max and is delivered everywhere at the
+    #: committed timestamp, so any two are delivered in the same relative
+    #: order wherever both are; only the addressed groups exchange messages
+    #: (genuineness), and a non-zero conflict class commutes and skips the
+    #: commit wait (Generic Multicast, arXiv 2410.01901).  Both extensions
+    #: need agreed delivery and flat dissemination.
+    ordering: str = "lamport"
+    #: Preferred leader pid for ``ordering="llft"``.  0 (default)
+    #: auto-selects the smallest pid of the current membership; a
+    #: configured pid leads whenever it is a member and the auto rule
+    #: applies otherwise (so a leader crash deterministically falls back
+    #: to min(membership)).
     llft_leader_pid: int = 0
 
     # --- overlay dissemination (extension, cf. arXiv 2309.14074) ---------
@@ -163,7 +173,7 @@ class FTMPConfig:
     #: tree is recomputed at every view install, so PGMP membership stays
     #: the single source of truth.  NACK recovery, membership/control
     #: traffic and the §7.2 drain stay flat multicast.  False = the
-    #: legacy flat dissemination, bit-identical.
+    #: paper's flat dissemination.
     overlay_mode: bool = False
     #: Fan-out k of the dissemination tree (children per interior node).
     overlay_fanout: int = 4
@@ -173,22 +183,6 @@ class FTMPConfig:
     #: end-to-end stability latency is about 2 * depth * interval.
     overlay_summary_interval: float = 0.005
 
-    # --- multi-group atomic multicast (extension, arXiv 1904.07171) ------
-    #: Enable genuine multi-group atomic multicast: a message addressed
-    #: to a *set* of groups collects one Lamport position from each
-    #: addressed group's ordering core (a MultiGroupPropose riding that
-    #: group's totally-ordered stream), commits at the max over the
-    #: groups, and is delivered in every addressed group at the committed
-    #: timestamp — so any two multi-group messages are delivered in the
-    #: same relative order everywhere they are both delivered.  Only the
-    #: addressed groups exchange messages (genuineness): uninvolved
-    #: groups take zero ordering steps, preserving per-group sharding.
-    #: Messages declaring a non-zero conflict class commute with
-    #: different classes and skip the commit wait (Generic Multicast,
-    #: arXiv 2410.01901).  False = legacy single-group ordering,
-    #: bit-identical.
-    multigroup_mode: bool = False
-
     # --- delivery guarantee ----------------------------------------------
     #: "agreed" (default): deliver as soon as the total order is decided.
     #: "safe": additionally wait until the message is *stable* — the ack
@@ -196,6 +190,7 @@ class FTMPConfig:
     #: agreed/safe distinction, built on §6's ack machinery).  Safe
     #: delivery survives any minority of simultaneous crashes without a
     #: survivor having delivered something the others never received.
+    #: Only the ``"lamport"`` ordering supports "safe".
     delivery_mode: str = "agreed"
 
     # --- buffering -------------------------------------------------------
@@ -211,24 +206,18 @@ class FTMPConfig:
     little_endian: bool = True
 
     def __post_init__(self) -> None:
-        if self.llft_mode and self.overlay_mode:
-            raise ValueError(
-                "llft_mode and overlay_mode are mutually exclusive: the "
-                "leader fast path assumes flat dissemination of the "
-                "leader stream"
-            )
-        if self.multigroup_mode and (self.llft_mode or self.overlay_mode):
-            raise ValueError(
-                "multigroup_mode is mutually exclusive with llft_mode and "
-                "overlay_mode: multi-group commit positions are defined in "
-                "terms of the symmetric Lamport order"
-            )
-        if self.multigroup_mode and self.delivery_mode == "safe":
-            raise ValueError(
-                "multigroup_mode requires delivery_mode='agreed': the "
-                "commit wait already spans groups and safe delivery would "
-                "deadlock against it"
-            )
+        if self.ordering not in ORDERINGS:
+            raise ValueError(f"unknown ordering {self.ordering!r}; choose from {ORDERINGS}")
+        if self.delivery_mode not in ("agreed", "safe"):
+            raise ValueError(f"unknown delivery_mode {self.delivery_mode!r}; "
+                             "choose 'agreed' or 'safe'")
+        if self.ordering != "lamport" and self.overlay_mode:
+            raise ValueError(f"ordering={self.ordering!r} needs flat dissemination "
+                             "(overlay_mode off): it is defined on the flat stream")
+        if self.ordering != "lamport" and self.delivery_mode == "safe":
+            raise ValueError(f"ordering={self.ordering!r} needs delivery_mode='agreed': "
+                             "the llft fast path delivers ahead of stability, and "
+                             "the multigroup commit wait deadlocks against safe holds")
 
     def with_(self, **kwargs) -> "FTMPConfig":
         """Return a copy with some fields replaced."""

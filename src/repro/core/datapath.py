@@ -45,6 +45,7 @@ from .config import FTMPConfig
 from .constants import RELIABLE_TYPES, MessageType
 from .events import Delivery, FaultReport, ViewChange
 from .fault_detector import FaultDetector
+from .llft import LeaderOrdering
 from .messages import (
     AddProcessorMessage,
     BatchMessage,
@@ -55,16 +56,16 @@ from .messages import (
     FTMPMessage,
     HeartbeatMessage,
     MembershipMessage,
-    MultiGroupCommitMessage,
-    MultiGroupProposeMessage,
     RegularMessage,
     RemoveProcessorMessage,
     RetransmitRequestMessage,
     SuspectMessage,
 )
+from .multigroup import MultiGroupOrdering
+from .overlay import FlatDissemination, OverlayDissemination
 from .pgmp import PGMP
 from .rmp import RMP
-from .romp import ROMP
+from .romp import ROMP, LamportOrdering
 from .stats import GroupStats
 from .wire import CodecError, decode, encode, mark_retransmission
 
@@ -84,6 +85,11 @@ __all__ = [
     "FlowControlSaturated",
     "ProcessorGroup",
 ]
+
+
+#: ``FTMPConfig.ordering`` value -> the group's ordering discipline
+_ORDERINGS = {"lamport": LamportOrdering, "llft": LeaderOrdering,
+              "multigroup": MultiGroupOrdering}
 
 
 class FlowControlSaturated(RuntimeError):
@@ -110,12 +116,10 @@ class GroupContext(Protocol):
     joining: bool
     #: (timestamp, source) of the AddProcessor admitting this processor
     join_barrier: Optional[Tuple[int, int]]
-    #: (timestamp, source) keys grandfathered by a fault view — queued
-    #: ordered messages from removed members that remain deliverable
-    legacy_keys: Set[Tuple[int, int]]
     buffer: RetransmissionBuffer
     rmp: RMP
     romp: ROMP
+    dissemination: FlatDissemination
 
     # -- identity / environment ----------------------------------------
     @property
@@ -561,14 +565,7 @@ class SendPath:
     def _heartbeat_tick(self) -> None:
         if self._stopped:
             return
-        if self._ctx.config.overlay_mode and not self._ctx.joining:
-            # Overlay mode: the periodic per-edge AckSummaries are the
-            # keepalive (their headers carry the same live seq/ts/ack a
-            # Heartbeat would), so all-member heartbeat fan-out stops.
-            # A *joining* member keeps heartbeating: it is not in the
-            # tree yet, and only its own loopbacked heartbeats advance
-            # its stream in the ordering gate so the AddProcessor can
-            # reach its position (§7.1).
+        if not self._ctx.dissemination.sends_heartbeats():
             return  # deliberately without re-arming: the loop ends here
         if self._pending and not self._ctx.credit_blocked():
             # Piggyback suppression: the window flushes within
@@ -689,21 +686,24 @@ class ProcessorGroup:
         #: (timestamp, source) of the AddProcessor that admitted us; ordered
         #: messages strictly before it belong to views we were not part of.
         self.join_barrier: Optional[Tuple[int, int]] = None
-        #: keys of queued ordered messages from members removed by a fault
-        #: view — still deliverable (virtual synchrony grandfathering)
-        self.legacy_keys: Set[Tuple[int, int]] = set()
 
         self.buffer = RetransmissionBuffer(gc_enabled=stack.config.buffer_gc_enabled)
         self.stats = GroupStats()
         self.batch_stats = BatchStats()
         self.flow = FlowController(self, FlowControlStats())
+        # the one place a group's dissemination and ordering discipline
+        # are chosen; everything else calls them through the seam
+        cfg = stack.config
+        self.dissemination: FlatDissemination = (
+            OverlayDissemination if cfg.overlay_mode else FlatDissemination
+        )(self, stack)
         self.rmp = RMP(self)
-        self.romp = ROMP(self)
+        self.romp = ROMP(self, _ORDERINGS[cfg.ordering])
         self.pgmp = PGMP(self)
         self.fault_detector = FaultDetector(self)
         self.send_path = SendPath(
             self,
-            transmit=self._transmit_routed,
+            transmit=self.dissemination.egress,
             ack_supplier=lambda: self.romp.ack_timestamp,
             address_supplier=lambda: self.address,
             stats=self.stats,
@@ -729,12 +729,9 @@ class ProcessorGroup:
         reg.register(f"{prefix}.romp", self.romp.stats)
         reg.register(f"{prefix}.pgmp", self.pgmp.stats)
         reg.register(f"{prefix}.fault_detector", self.fault_detector.stats)
-        if self.romp.llft is not None:
-            reg.register(f"{prefix}.llft", self.romp.llft.stats)
-        if self.romp.overlay is not None:
-            reg.register(f"{prefix}.overlay", self.romp.overlay.stats)
-        if self.romp.multigroup is not None:
-            reg.register(f"{prefix}.multigroup", self.romp.multigroup.stats)
+        for part in (self.romp.ordering, self.dissemination):
+            if part.stats_key:
+                reg.register(f"{prefix}.{part.stats_key}", part.stats)
         reg.register(
             f"{prefix}.gauges",
             lambda: {
@@ -811,35 +808,12 @@ class ProcessorGroup:
         # fault-view path below purges convicted members inline
         self.fault_detector.forget(pid)
         self.rmp.drop_source(pid)
-        self.romp.purge_queue_of(pid)
+        self.romp.ordering.drop_all(pid)
         self.romp.purge_source(pid, clean=True)
         self._heard.discard(pid)
 
     def suspected_members(self) -> Set[int]:
         return self.fault_detector.suspected
-
-    # ------------------------------------------------------------------
-    # wire egress (overlay tree routing sits in front of the stack)
-    # ------------------------------------------------------------------
-    def _transmit_routed(self, address: int, raw: bytes) -> None:
-        """SendPath egress: group-addressed first transmissions may be
-        tree-routed by the overlay engine; everything else — unicasts,
-        retransmissions, control traffic — goes out flat."""
-        overlay = self.romp.overlay
-        if (overlay is not None and address == self.address
-                and overlay.route_egress(raw)):
-            return
-        self._stack.transmit(address, raw)
-
-    def transmit_raw(self, address: int, raw: bytes) -> None:
-        """Raw stack egress for the overlay engine (relay forwarding)."""
-        self._stack.transmit(address, raw)
-
-    def join_wire_address(self, address: int) -> None:
-        self._stack.endpoint.join(address)
-
-    def leave_wire_address(self, address: int) -> None:
-        self._stack.endpoint.leave(address)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -852,16 +826,14 @@ class ProcessorGroup:
             if p != self.pid:
                 self.fault_detector.watch(p, grace=self.config.join_grace)
         self.send_path.start_heartbeats()
-        if self.romp.overlay is not None:
-            self.romp.overlay.activate()
+        self.dissemination.activate()
 
     def stop(self) -> None:
         if self._stopped:
             return
         self._stopped = True
         self.send_path.stop()
-        if self.romp.overlay is not None:
-            self.romp.overlay.stop()
+        self.dissemination.stop()
         self.fault_detector.stop()
         self.rmp.stop()
         self.pgmp.stop()
@@ -872,10 +844,9 @@ class ProcessorGroup:
     # datagram input (from the stack router)
     # ------------------------------------------------------------------
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
-        if self.romp.overlay is not None:
-            # relay hook sees the *outer* datagram only (a Batch relays
-            # whole; its parts recurse inside ReceivePath untouched)
-            self.romp.overlay.on_datagram(msg, raw)
+        # the relay hook sees the *outer* datagram only (a Batch relays
+        # whole; its parts recurse inside ReceivePath untouched)
+        self.dissemination.on_datagram(msg, raw)
         self.receive_path.on_datagram(msg, raw)
 
     def retain(self, msg: FTMPMessage) -> None:
@@ -897,13 +868,11 @@ class ProcessorGroup:
 
     def pgmp_raise_suspicion(self, pid: int) -> None:
         self.pgmp.raise_suspicion(pid)
-        if self.romp.overlay is not None:
-            self.romp.overlay.on_suspicion_changed()
+        self.dissemination.on_suspicion_changed()
 
     def pgmp_withdraw_suspicion(self, pid: int) -> None:
         self.pgmp.withdraw_suspicion(pid)
-        if self.romp.overlay is not None:
-            self.romp.overlay.on_suspicion_changed()
+        self.dissemination.on_suspicion_changed()
 
     def pgmp_receive_unreliable(self, msg: FTMPMessage) -> None:
         if isinstance(msg, ConnectRequestMessage):
@@ -923,7 +892,6 @@ class ProcessorGroup:
         h = msg.header
         if self.join_barrier is not None and (h.timestamp, h.source) < self.join_barrier:
             return
-        self.legacy_keys.discard((h.timestamp, h.source))
         if self.traced:
             self.trace("deliver", src=h.source, seq=h.sequence_number,
                        ts=h.timestamp, bytes=len(msg.payload))
@@ -986,17 +954,9 @@ class ProcessorGroup:
         self.stats.regulars_sent += 1
         self.flow.note_sent(msg.header.timestamp)
         self.send_path.send(msg)
-        self._note_own_ordered(msg)
-
-    def _note_own_ordered(self, msg: FTMPMessage) -> None:
-        """LLFT hook: one of our totally-ordered messages just hit the wire.
-
-        The engine delivers it on the spot (the leader fast path) or parks
-        it until the leader's stream orders it; our RMP loopback copy is
-        discarded on arrival.  No-op in legacy mode.
-        """
-        if self.romp.llft is not None:
-            self.romp.llft.on_own_send(msg)
+        # LLFT delivers our own send on the spot (the leader fast path)
+        # or parks it until the leader's stream orders it
+        self.romp.ordering.on_own_send(msg)
 
     def on_send_barrier_cleared(self) -> None:
         # Sends credit-queued before the Connect predate anything the
@@ -1044,7 +1004,7 @@ class ProcessorGroup:
             new_member=new_member,
         )
         raw = self.send_path.send(msg)
-        self._note_own_ordered(msg)
+        self.romp.ordering.on_own_send(msg)
         return raw
 
     def send_remove_processor(self, member: int) -> None:
@@ -1053,38 +1013,7 @@ class ProcessorGroup:
             member_to_remove=member,
         )
         self.send_path.send(msg)
-        self._note_own_ordered(msg)
-
-    def send_multigroup_propose(self, mg_seq: int, conflict_class: int,
-                                group_ids: Tuple[int, ...], payload: bytes) -> int:
-        """Multicast one multi-group proposal copy into this group's
-        totally-ordered stream; returns the copy's header timestamp —
-        this group's proposal in the timestamp-collection protocol."""
-        msg = MultiGroupProposeMessage(
-            header=self._header(MessageType.MULTI_GROUP_PROPOSE, reliable=True),
-            mg_seq=mg_seq,
-            conflict_class=conflict_class,
-            groups=group_ids,
-            payload=payload,
-        )
-        mg = self.romp.multigroup
-        if mg is not None:
-            mg.stats.proposes_sent += 1
-        self.send_path.send(msg)
-        return msg.header.timestamp
-
-    def send_multigroup_commit(self, origin: int, mg_seq: int, commit_ts: int) -> None:
-        """Announce the committed (max) timestamp into this group's stream."""
-        msg = MultiGroupCommitMessage(
-            header=self._header(MessageType.MULTI_GROUP_COMMIT, reliable=True),
-            origin=origin,
-            mg_seq=mg_seq,
-            commit_ts=commit_ts,
-        )
-        mg = self.romp.multigroup
-        if mg is not None:
-            mg.stats.commits_sent += 1
-        self.send_path.send(msg)
+        self.romp.ordering.on_own_send(msg)
 
     def send_suspect(self, membership_timestamp: int, suspects: Tuple[int, ...]) -> None:
         msg = SuspectMessage(
@@ -1118,7 +1047,7 @@ class ProcessorGroup:
             membership=membership,
         )
         raw = self.send_path.send(msg, address=address)
-        self._note_own_ordered(msg)
+        self.romp.ordering.on_own_send(msg)
         return raw
 
     # ------------------------------------------------------------------
@@ -1127,19 +1056,16 @@ class ProcessorGroup:
     def install_view(self, membership: Tuple[int, ...], view_timestamp: int,
                      added: Tuple[int, ...], removed: Tuple[int, ...], reason: str) -> None:
         prev_membership = self.membership
-        llft = self.romp.llft
-        if llft is not None:
-            # hold the fast path until on_view_installed below has flushed
-            # the parked backlog — a send from the view-change listener
-            # must not overtake the takeover batch in the delivery order
-            llft.begin_install()
+        # LLFT holds its fast path until on_view_installed below has
+        # flushed the parked backlog — a send from the view-change
+        # listener must not overtake the takeover batch in the order
+        self.romp.ordering.begin_install()
         self.membership = tuple(sorted(membership))
         self.view_timestamp = view_timestamp
         self.pgmp.reset_after_view()
-        if self.romp.overlay is not None:
-            self.romp.overlay.on_view_installed()
+        self.dissemination.on_view_installed()
         for p in added:
-            self.romp.flush_staging(p)
+            self.romp.ordering.flush_staging(p)
         if self.traced:
             self.trace("view", reason=reason, membership=self.membership,
                        view_ts=view_timestamp)
@@ -1154,8 +1080,7 @@ class ProcessorGroup:
                 installed_at=self.now(),
             )
         )
-        if llft is not None:
-            llft.on_view_installed(prev_membership, reason)
+        self.romp.ordering.on_view_installed(prev_membership, reason)
         self.romp.evaluate()
 
     def install_fault_view(self, membership: Tuple[int, ...], view_timestamp: int,
@@ -1168,20 +1093,12 @@ class ProcessorGroup:
             # prefix was not received by every survivor: drop it.  The rest
             # is grandfathered — deliverable after the member's removal
             # (virtual synchrony: identical delivery sets at all survivors).
-            self.romp.purge_queue_after(r, targets.get(r, 0))
-            for key in self.romp.keys_from(r):
-                self.legacy_keys.add(key)
+            self.romp.ordering.drop_after(r, targets.get(r, 0))
             self.fault_detector.forget(r)
             self.rmp.drop_source(r)
             self.romp.purge_source(r)
             self._heard.discard(r)
-        if self.romp.multigroup is not None:
-            # The §7.2 sync equalised the release prefix across survivors,
-            # so "still uncommitted" is the same fact everywhere: abort the
-            # convicted origins' dangling proposals consistently (their
-            # commits, if ever sent, did not reach any survivor).
-            for r in removed:
-                self.romp.multigroup.abort_origin(r)
+        self.romp.ordering.on_fault_view(tuple(removed))
         self.install_view(membership, view_timestamp, added=(), removed=removed,
                           reason="fault")
         if self.traced:
@@ -1227,12 +1144,11 @@ class ProcessorGroup:
             self.forget_member(gone)
         if starting:
             self.send_path.start_heartbeats()
-        if self.romp.overlay is not None:
-            # established members tree-route toward us the moment they
-            # install the add view — bind our unicast address *now* or
-            # their Regulars (and the AddProcessor's ordering traffic)
-            # never reach us and the join deadlocks
-            self.romp.overlay.prepare_join()
+        # an overlay's established members tree-route toward us the
+        # moment they install the add view — bind our unicast address
+        # *now* or their Regulars (and the AddProcessor's ordering
+        # traffic) never reach us and the join deadlocks
+        self.dissemination.prepare_join()
         self.romp.evaluate()
 
     def complete_join(self, membership: Tuple[int, ...], view_timestamp: int,
@@ -1260,8 +1176,7 @@ class ProcessorGroup:
                 installed_at=self.now(),
             )
         )
-        if self.romp.llft is not None:
-            self.romp.llft.on_join_completed()
+        self.romp.ordering.on_join_completed()
 
     # ------------------------------------------------------------------
     # connection migration (ordered Connect, §7)
@@ -1278,8 +1193,7 @@ class ProcessorGroup:
             self._stack.endpoint.leave(self.address)
             self.address = new_addr
             self._stack.endpoint.join(new_addr)
-            if self.romp.overlay is not None:
-                self.romp.overlay.on_address_changed()
+            self.dissemination.on_address_changed()
         self.view_timestamp = max(self.view_timestamp, msg.header.timestamp)
         # §7 quiescence: no ordered transmissions until every member is
         # heard past the Connect's timestamp (their heartbeats get us there).

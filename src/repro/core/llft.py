@@ -5,7 +5,7 @@ delivered once *every* member's stream has been heard past its timestamp,
 which puts an all-member wait — heartbeat-bound at low load — on the
 delivery critical path.  The Low Latency Fault Tolerance line of work
 (arXiv 1004.1864) removes that wait with an asymmetric discipline, which
-``FTMPConfig.llft_mode`` enables:
+``FTMPConfig.ordering = "llft"`` selects:
 
 * **the total order is the leader's reliable FIFO stream.**  The leader's
   own ordered messages deliver at their position in its stream, carrying
@@ -33,8 +33,8 @@ delivery critical path.  The Low Latency Fault Tolerance line of work
   takeover announcement onward — so virtual synchrony holds and the
   oracle battery runs unchanged.
 
-Everything here is instantiated only when ``llft_mode`` is on; with the
-knob off the engine does not exist and the stack is bit-identical legacy.
+:class:`LeaderOrdering` is the group's :class:`~.romp.OrderingDiscipline`
+when ``ordering`` is ``"llft"``; no other discipline touches this module.
 
 Wire format: an announcement is an ordinary Regular message (it rides
 RMP's reliability, retention and batching unchanged) whose connection id
@@ -54,9 +54,11 @@ from typing import TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from .constants import MessageType
 from .messages import ConnectionId, FTMPMessage, RegularMessage
+from .romp import OrderingDiscipline
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import ProcessorGroup
+    from .romp import ROMP
 
 __all__ = ["ORDER_INFO_CID", "LLFTStats", "LeaderOrdering",
            "encode_order_info", "decode_order_info"]
@@ -99,8 +101,8 @@ class LLFTStats:
     stale_discards: int = 0  #: duplicate arrivals below the consumed top
 
 
-class LeaderOrdering:
-    """Per-group LLFT ordering state (one instance, leader or follower).
+class LeaderOrdering(OrderingDiscipline):
+    """Per-group LLFT ordering discipline (one instance, leader or follower).
 
     Every processor runs the same engine; the asymmetry is the ``leader()``
     computation.  All ordered traffic flows through ``_pending`` — one
@@ -109,16 +111,14 @@ class LeaderOrdering:
     sequence order), so announcement resolution is always a head pop.
     """
 
-    #: cap on parked messages from a source that is not (yet) a member —
-    #: mirrors ROMP's staging cap so a rogue source cannot grow unbounded
-    _STAGING_CAP = 4096
-
     #: entries per coalesced backlog OrderInfo (keeps one announcement
     #: datagram comfortably under the batcher's size limits)
     _ANNOUNCE_CAP = 64
 
-    def __init__(self, group: "ProcessorGroup"):
-        self._g = group
+    stats_key = "llft"
+
+    def __init__(self, group: "ProcessorGroup", romp: "ROMP"):
+        super().__init__(group, romp)
         #: per-source backlog in arrival (= sequence) order; includes our
         #: own parked sends and non-member staging
         self._pending: Dict[int, Deque[FTMPMessage]] = {}
@@ -129,10 +129,6 @@ class LeaderOrdering:
         #: announcement: the old pending prefix of the new leader's stream
         #: is only deliverable through the takeover entries
         self._adopting = False
-        #: §7.2 drain state: (survivors, cut_ts, sync targets, old leader)
-        self._transition: Optional[
-            Tuple[FrozenSet[int], int, Dict[int, int], int]
-        ] = None
         #: True from the start of install_view until on_view_installed has
         #: flushed the backlog: a send from the view-change listener must
         #: park rather than fast-path ahead of the takeover batch
@@ -203,21 +199,21 @@ class LeaderOrdering:
         self.stats.parked += 1
         self._pending.setdefault(pid, deque()).append(msg)
 
-    def on_reliable(self, msg: FTMPMessage) -> None:
+    def on_reliable(self, msg: FTMPMessage) -> bool:
         """Hook for every totally-ordered message RMP hands up.
 
         Called by ROMP after the clock/cover bookkeeping.  Our own
         loopbacks were already consumed at send time; everything else is
         either announced on the spot (live leader) or parked until the
-        leader's stream orders it.
+        leader's stream orders it.  ROMP evaluates after every arrival.
         """
         h = msg.header
         src = h.source
         if src == self._g.pid:
-            return  # own loopback: consumed by on_own_send
+            return True  # own loopback: consumed by on_own_send
         if h.sequence_number <= self._announced_top.get(src, 0):
             self.stats.stale_discards += 1
-            return
+            return True
         if (
             self._live_leader()
             and src in self._g.membership
@@ -225,12 +221,13 @@ class LeaderOrdering:
             and not self._congested()
         ):
             self._announce_batch([msg])
-            return
+            return True
         q = self._pending.setdefault(src, deque())
         if src not in self._g.membership and len(q) >= self._STAGING_CAP:
-            return
+            return True
         self.stats.parked += 1
         q.append(msg)
+        return True
 
     # ------------------------------------------------------------------
     # the leader side: assigning positions
@@ -285,6 +282,17 @@ class LeaderOrdering:
             isinstance(msg, RegularMessage)
             and msg.connection_id == ORDER_INFO_CID
         )
+
+    def evaluate(self) -> None:
+        """Replay the leader's stream, then advance the acknowledgement:
+        the *cover* timestamp — the Lamport ack's meaning ("everything at
+        or below was received from all members") without coupling it to
+        deliveries, so stability/GC/flow-credits advance in the background
+        while this discipline delivers ahead of them."""
+        self.process()
+        romp = self._romp
+        romp.advance_ack(romp.cover_timestamp())
+        romp.stability_pulse()
 
     def process(self) -> None:
         """Consume everything currently deliverable (idempotent).
@@ -449,7 +457,7 @@ class LeaderOrdering:
 
     def _deliver(self, msg: FTMPMessage) -> None:
         """Hand one ordered message upward at its decided position."""
-        self._g.romp.stats.ordered_deliveries += 1
+        self._romp.stats.ordered_deliveries += 1
         if msg.header.message_type == MessageType.REGULAR:
             self._g.deliver_regular(msg)  # type: ignore[arg-type]
         else:
@@ -472,16 +480,13 @@ class LeaderOrdering:
         leader's stream through it before the fault view installs, and
         nothing beyond it, so all delivery histories cut identically.
         """
+        # (survivors, cut_ts, sync targets, old leader)
         self._transition = (
             frozenset(survivors),
             cut_ts,
             dict(targets or {}),
             self.leader(),
         )
-        self.process()
-
-    def end_transition(self) -> None:
-        self._transition = None
 
     def _transition_step(self) -> bool:
         assert self._transition is not None
@@ -524,8 +529,9 @@ class LeaderOrdering:
             self._deliver(head)
         return True
 
-    def transition_drained(self) -> bool:
-        """True when the old leader's in-cut stream suffix is consumed."""
+    def transition_drained(self, cut_ts: int = 0) -> bool:
+        """True when the old leader's in-cut stream suffix (cut by
+        sequence number, not ``cut_ts``) is consumed."""
         if self._transition is None:
             return True
         _survivors, _cut_ts, targets, old = self._transition
@@ -636,7 +642,7 @@ class LeaderOrdering:
         self.process()
 
     # ------------------------------------------------------------------
-    # purges & bookkeeping (delegated from ROMP)
+    # purges & bookkeeping
     # ------------------------------------------------------------------
     def drop_after(self, src: int, seq_cutoff: int) -> int:
         """Drop ``src``'s parked messages with seq > ``seq_cutoff`` (§7.2:
@@ -663,5 +669,3 @@ class LeaderOrdering:
             if src in self._g.membership
         )
 
-    def backlog_of(self, src: int) -> int:
-        return len(self._pending.get(src, ()))

@@ -40,7 +40,8 @@ released, everything with an ordering key below the commit's header key
 released.  A committed entry is therefore deliverable the moment its key
 is minimal among the stage's backlog, with no additional cover check.
 
-**The delivery stage.**  The engine interposes on ROMP's dispatch: every
+**The delivery stage.**  :class:`MultiGroupOrdering`, selected by
+``ordering="multigroup"``, puts a stage behind the Lamport rule: every
 released totally-ordered message enters a FIFO ``held`` stage (ordinary
 Regulars and the ordered membership messages) or the ``pending`` table
 (multi-group proposals awaiting their commit).  The stage drains in
@@ -90,12 +91,14 @@ from .messages import (
     RegularMessage,
     RemoveProcessorMessage,
 )
+from .romp import LamportOrdering
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .datapath import GroupContext
+    from .datapath import ProcessorGroup
+    from .romp import ROMP
 
 __all__ = [
-    "MultiGroupEngine",
+    "MultiGroupOrdering",
     "MultiGroupStats",
     "MULTI_GROUP_CID",
     "MULTI_GROUP_COMMUTATIVE_CID",
@@ -174,17 +177,18 @@ class _Pending:
         return (ts, self.origin, self.mg_seq)
 
 
-class MultiGroupEngine:
-    """Per-group delivery stage for multi-group atomic multicast.
+class MultiGroupOrdering(LamportOrdering):
+    """The Lamport rule with the multi-group delivery stage behind it.
 
-    Constructed by ROMP only when ``multigroup_mode`` is on; the knob-off
-    path never instantiates it and stays bit-identical to the legacy
-    dispatch.  Fed exclusively by :meth:`on_ordered` with the group's
-    release sequence, which makes it deterministic across members.
+    Every message the Lamport rule releases enters the stage through
+    :meth:`on_ordered`; fed only with the group's release sequence, the
+    stage is deterministic across members.
     """
 
-    def __init__(self, group: "GroupContext"):
-        self._g = group
+    stats_key = "multigroup"
+
+    def __init__(self, group: "ProcessorGroup", romp: "ROMP"):
+        super().__init__(group, romp)
         #: released messages awaiting dispatch, FIFO in extended-key order
         self._held: Deque[Tuple[Tuple[int, int, int], FTMPMessage]] = deque()
         #: (origin, mg_seq) -> proposal awaiting its commit
@@ -230,6 +234,8 @@ class MultiGroupEngine:
             self.stats.max_held = len(self._held)
         self.drain()
 
+    _dispatch = on_ordered  # the Lamport rule's releases enter the stage
+
     # ------------------------------------------------------------------
     # the extended-key drain
     # ------------------------------------------------------------------
@@ -267,7 +273,7 @@ class MultiGroupEngine:
                     bound, head_entry = k, entry
             if held and (bound is None or held[0][0] < bound):
                 _, msg = held.popleft()
-                self._dispatch(msg)
+                self._dispatch_held(msg)
                 continue
             if head_entry is not None and head_entry.commit_ts is not None:
                 # Minimal and committed: the commit's own release already
@@ -280,8 +286,8 @@ class MultiGroupEngine:
                 continue
             return
 
-    def _dispatch(self, msg: FTMPMessage) -> None:
-        """Legacy dispatch of a drained held-stage message."""
+    def _dispatch_held(self, msg: FTMPMessage) -> None:
+        """Hand a drained held-stage message upward."""
         if isinstance(msg, MultiGroupProposeMessage):
             self._deliver(msg, msg.header.timestamp, commutative=True)
             return
@@ -345,5 +351,42 @@ class MultiGroupEngine:
             self.drain()
 
     def backlog(self) -> int:
-        """Messages staged but not yet dispatched (quiescence gauge)."""
-        return len(self._held) + len(self._pending)
+        """Messages queued or staged but not yet dispatched (quiescence gauge)."""
+        return super().backlog() + len(self._held) + len(self._pending)
+
+    def send_propose(self, mg_seq: int, conflict_class: int,
+                     group_ids: Tuple[int, ...], payload: bytes) -> int:
+        """Multicast one multi-group proposal copy into this group's
+        totally-ordered stream; returns the copy's header timestamp —
+        this group's proposal in the timestamp-collection protocol."""
+        g = self._g
+        msg = MultiGroupProposeMessage(
+            header=g._header(MessageType.MULTI_GROUP_PROPOSE, reliable=True),
+            mg_seq=mg_seq,
+            conflict_class=conflict_class,
+            groups=group_ids,
+            payload=payload,
+        )
+        self.stats.proposes_sent += 1
+        g.send_path.send(msg)
+        return msg.header.timestamp
+
+    def send_commit(self, origin: int, mg_seq: int, commit_ts: int) -> None:
+        """Announce the committed (max) timestamp into this group's stream."""
+        g = self._g
+        msg = MultiGroupCommitMessage(
+            header=g._header(MessageType.MULTI_GROUP_COMMIT, reliable=True),
+            origin=origin,
+            mg_seq=mg_seq,
+            commit_ts=commit_ts,
+        )
+        self.stats.commits_sent += 1
+        g.send_path.send(msg)
+
+    def on_fault_view(self, removed: Tuple[int, ...]) -> None:
+        # The §7.2 sync equalised the release prefix across survivors,
+        # so "still uncommitted" is the same fact everywhere: abort the
+        # convicted origins' dangling proposals consistently (their
+        # commits, if ever sent, did not reach any survivor).
+        for r in removed:
+            self.abort_origin(r)

@@ -55,9 +55,10 @@ group size.  Overlay-based atomic multicast (cf. FlexCast, arXiv
   Transitively heard members get an extra grace of one suspect timeout
   on top (evidence crosses up to ``depth`` hops of summary intervals).
 
-Everything here is instantiated only when ``overlay_mode`` is on; with
-the knob off the engine does not exist and the stack is bit-identical
-legacy.
+A group holds exactly one dissemination object: :class:`FlatDissemination`
+(the paper's fan-out) or, when ``overlay_mode`` is on,
+:class:`OverlayDissemination`.  The group calls the same hooks on either;
+the flat ones do nothing, so the flat path is the paper's stack.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ from .wire import decode, encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import ProcessorGroup
+    from .stack import FTMPStack
 
-__all__ = ["OVERLAY_UNICAST_BASE", "OverlayStats", "OverlayDissemination",
-           "unicast_address", "tree_links"]
+__all__ = ["OVERLAY_UNICAST_BASE", "OverlayStats", "FlatDissemination",
+           "OverlayDissemination", "unicast_address", "tree_links"]
 
 #: Base of the per-member unicast address space: member ``p`` of the group
 #: at flat address ``a`` listens on ``BASE + a * 65536 + p``.  Computed
@@ -150,17 +152,54 @@ class OverlayStats:
     floor_advances: int = 0  #: aggregated stability floor advances
 
 
-class OverlayDissemination:
-    """Per-group overlay engine: tree routing + aggregated stability.
+class FlatDissemination:
+    """The paper's flat dissemination: every datagram goes to the group
+    address and every member heartbeats (§5).
 
-    Constructed by :class:`~.romp.ROMP` (mirroring the LLFT engine) only
-    when ``overlay_mode`` is on; holds the tree, the per-edge aggregation
-    scope state, the per-source progress vector and the transitive
-    liveness evidence clock.
+    The base of the dissemination seam: the group sends through
+    :meth:`egress` and calls the other hooks, which do nothing here
+    (:class:`OverlayDissemination` documents each one for the tree).
     """
 
-    def __init__(self, group: "ProcessorGroup"):
+    #: registry name of ``stats`` (``group.N.<key>``); None = none
+    stats_key: Optional[str] = None
+
+    def __init__(self, group: "ProcessorGroup", stack: "FTMPStack"):
         self._g = group
+        self._stack = stack  #: the wire: raw egress and address joins
+
+    def egress(self, address: int, raw: bytes) -> None:
+        self._stack.transmit(address, raw)
+
+    def stability_floor(self) -> int:
+        return 0  # nothing beyond the §6 minimum
+
+    def sends_heartbeats(self) -> bool:
+        return True
+
+    def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None: ...
+    def on_summary(self, msg: AckSummaryMessage) -> None: ...
+    def activate(self) -> None: ...
+    def stop(self) -> None: ...
+    def prepare_join(self) -> None: ...
+    def on_view_installed(self) -> None: ...
+    def on_suspicion_changed(self) -> None: ...
+    def on_address_changed(self) -> None: ...
+    def note_departure(self, pid: int, final_ts: int) -> None: ...
+
+
+class OverlayDissemination(FlatDissemination):
+    """Per-group overlay engine: tree routing + aggregated stability.
+
+    The group's dissemination when ``overlay_mode`` is on; holds the
+    tree, the per-edge aggregation scope state, the per-source progress
+    vector and the transitive liveness evidence clock.
+    """
+
+    stats_key = "overlay"
+
+    def __init__(self, group: "ProcessorGroup", stack: "FTMPStack"):
+        super().__init__(group, stack)
         self.stats = OverlayStats()
         self._active = False
         self._joined_addr: Optional[int] = None
@@ -201,7 +240,7 @@ class OverlayDissemination:
         g = self._g
         if self._joined_addr is None:
             self._joined_addr = unicast_address(g.address, g.pid)
-            g.join_wire_address(self._joined_addr)
+            self._stack.endpoint.join(self._joined_addr)
 
     def activate(self) -> None:
         """Join our unicast address, build the tree, start summaries."""
@@ -216,7 +255,7 @@ class OverlayDissemination:
             self._timer.cancel()
             self._timer = None
         if self._joined_addr is not None:
-            self._g.leave_wire_address(self._joined_addr)
+            self._stack.endpoint.leave(self._joined_addr)
             self._joined_addr = None
 
     def on_view_installed(self) -> None:
@@ -239,9 +278,9 @@ class OverlayDissemination:
             return
         g = self._g
         if self._joined_addr is not None:
-            g.leave_wire_address(self._joined_addr)
+            self._stack.endpoint.leave(self._joined_addr)
         self._joined_addr = unicast_address(g.address, g.pid)
-        g.join_wire_address(self._joined_addr)
+        self._stack.endpoint.join(self._joined_addr)
 
     def _recompute_tree(self) -> None:
         g = self._g
@@ -299,38 +338,46 @@ class OverlayDissemination:
             return self._children
         return (self._parent,) + self._children
 
+    def sends_heartbeats(self) -> bool:
+        """Per-edge AckSummaries are the keepalive (their headers carry a
+        Heartbeat's live seq/ts/ack).  A *joining* member keeps
+        heartbeating: not in the tree yet, only its own loopbacked
+        heartbeats advance its stream in the ordering gate so the
+        AddProcessor can reach its position (§7.1)."""
+        return self._g.joining
+
     # ------------------------------------------------------------------
     # egress: route own first-transmission Regulars over the tree
     # ------------------------------------------------------------------
-    def route_egress(self, raw: bytes) -> bool:
-        """Tree-route one group-addressed egress datagram.
+    def egress(self, address: int, raw: bytes) -> None:
+        """Tree-route a group-addressed first transmission of a Regular /
+        Batch datagram: unicast to self + every tree neighbour.
 
-        Returns True when handled (unicast to self + every tree
-        neighbour); False tells the caller to fall back to the flat
-        group multicast (control traffic, retransmissions, or this
-        member currently outside its own tree).
+        Everything else — unicasts, retransmissions, control traffic, or
+        this member currently outside its own tree — goes out flat.
         """
-        if not self._active or self._g.pid not in self._member_set:
-            return False
-        if raw[_TYPE_OFFSET] not in (_REGULAR, _BATCH):
-            return False
-        if raw[_FLAGS_OFFSET] & _FLAG_RETRANSMISSION:
-            return False
         g = self._g
-        addr = g.address
-        transmit = g.transmit_raw
+        if (address != g.address or not self._active
+                or g.pid not in self._member_set
+                or raw[_TYPE_OFFSET] not in (_REGULAR, _BATCH)
+                or raw[_FLAGS_OFFSET] & _FLAG_RETRANSMISSION):
+            self._stack.transmit(address, raw)
+            return
         # the self-copy preserves the flat path's loopback delivery but
         # never touches the NIC (see _loopback)
         self._loopback(raw)
+        self.stats.regulars_tree_routed += self._forward(raw)
+
+    def _forward(self, raw: bytes, skip: Optional[int] = None) -> int:
+        """Unicast ``raw`` to every tree neighbour except ``skip``;
+        returns the number of copies sent."""
+        g = self._g
         copies = 0
-        if self._parent is not None:
-            transmit(unicast_address(addr, self._parent), raw)
-            copies += 1
-        for c in self._children:
-            transmit(unicast_address(addr, c), raw)
-            copies += 1
-        self.stats.regulars_tree_routed += copies
-        return True
+        for n in self._neighbours():
+            if n != skip:
+                self._stack.transmit(unicast_address(g.address, n), raw)
+                copies += 1
+        return copies
 
     def _loopback(self, raw: bytes) -> None:
         """Deliver one of our own datagrams through the local receive path.
@@ -373,17 +420,7 @@ class OverlayDissemination:
         self._relay_order.append(key)
         if len(self._relay_order) > _RELAY_SEEN_CAP:
             self._relay_seen.discard(self._relay_order.popleft())
-        addr = g.address
-        transmit = g.transmit_raw
-        relayed = 0
-        if self._parent is not None and self._parent != arrival:
-            transmit(unicast_address(addr, self._parent), raw)
-            relayed += 1
-        for c in self._children:
-            if c != arrival:
-                transmit(unicast_address(addr, c), raw)
-                relayed += 1
-        self.stats.relayed_copies += relayed
+        self.stats.relayed_copies += self._forward(raw, skip=arrival)
 
     # ------------------------------------------------------------------
     # periodic per-edge summaries
@@ -537,13 +574,13 @@ class OverlayDissemination:
                 # contiguous through seq already: every message from pid
                 # with timestamp <= ts is in hand, so the cover gate may
                 # advance past ts for this source
-                romp.adopt_order_progress(pid, ts)
+                romp.advance_order_ts(pid, ts)
                 self.stats.progress_adoptions += 1
                 adopted = True
         if adopted:
             romp.evaluate()
         else:
-            romp.overlay_stability_pulse()
+            romp.stability_pulse()
 
     # ------------------------------------------------------------------
     # aggregated stability floor (read by ROMP.stability_timestamp)

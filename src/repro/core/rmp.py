@@ -193,7 +193,7 @@ class RMP:
 
         The header carries the sender's live seq/timestamp/ack exactly
         like a Heartbeat, so the same gap-exposure and deferral rules
-        apply; the aggregation payload is handed to the overlay engine
+        apply; the aggregation payload is handed to the dissemination
         unconditionally — its per-source entries are global facts, valid
         whether or not the sender's own stream is currently contiguous
         here.
@@ -208,9 +208,7 @@ class RMP:
             self._note_gap(src, st)
         else:
             self._g.romp_heartbeat(msg)  # type: ignore[arg-type]
-        overlay = self._g.romp.overlay
-        if overlay is not None:
-            overlay.on_summary(msg)
+        self._g.dissemination.on_summary(msg)
 
     def disclose(self, src: int, seq: int) -> None:
         """Expose that reliable messages from ``src`` through ``seq``

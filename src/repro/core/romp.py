@@ -23,6 +23,12 @@ latest totally-ordered delivery (by the delivery rule, everything at or
 below it has been received from all members), and the minimum ack heard
 across members drives retransmission-buffer garbage collection (§6).
 
+The delivery rule itself is an :class:`OrderingDiscipline` chosen by
+``FTMPConfig.ordering`` (:class:`LamportOrdering`, the paper's rule, by
+default).  ROMP keeps what every discipline shares — clock, cover and
+ack tracking, stability, buffer GC, the §7 send barrier — and delegates
+ordered messages, evaluation, the §7.2 drain and purges to it.
+
 Hot-path engineering: the delivery gate and the stability rule are both
 "min over the membership of a per-member monotonic counter".  Instead of
 rescanning the membership on every received message, ROMP keeps two lazy
@@ -32,28 +38,26 @@ update pushes the new value and the query pops entries that no longer
 match the live dict — amortized O(log n) per message instead of O(n)
 scans at the queue head.  The heaps are rebuilt wholesale whenever the
 membership tuple changes (views are rare; the rebuild is one O(n) pass),
-which the query detects by tuple identity.  The ordering queue keeps a
-per-source index (``_by_src``) so per-source queries and purges no longer
-scan the whole queue.
+which the query detects by tuple identity.  The Lamport ordering queue
+keeps a per-source index (``_by_src``) so per-source queries and purges
+no longer scan the whole queue.
 """
 
 from __future__ import annotations
 
 import heapq
+from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from .constants import TOTALLY_ORDERED_TYPES, MessageType
-from .llft import LeaderOrdering
 from .messages import FTMPHeader, FTMPMessage, HeartbeatMessage
-from .multigroup import MultiGroupEngine
-from .overlay import OverlayDissemination
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import GroupContext
 
-__all__ = ["ROMP", "ROMPStats"]
+__all__ = ["ROMP", "ROMPStats", "OrderingDiscipline", "LamportOrdering"]
 
 
 @dataclass
@@ -67,38 +71,270 @@ class ROMPStats:
     messages_reclaimed: int = 0
 
 
-class ROMP:
-    """One ROMP instance per (processor, group) pair."""
+class OrderingDiscipline(ABC):
+    """The delivery rule ROMP delegates to; one instance per group.
 
-    def __init__(self, group: "GroupContext"):
+    :meth:`on_reliable` takes each totally-ordered message RMP hands up
+    (False = only staged, nothing to evaluate); :meth:`evaluate` delivers
+    what the rule allows now; the §7.2 round drives the transition
+    methods; :meth:`drop_after` / :meth:`drop_all` purge a convicted /
+    departed source; :meth:`backlog` is the queue depth.  The group calls
+    the hooks at its send, stability and view points.
+    """
+
+    #: registry name of :attr:`stats` (``group.N.<key>``); None = none
+    stats_key: Optional[str] = None
+    #: cap on held messages from a source that is not (yet) a member,
+    #: so a rogue source cannot grow the backlog unbounded
+    _STAGING_CAP = 4096
+
+    def __init__(self, group: "GroupContext", romp: "ROMP"):
         self._g = group
-        #: max timestamp of the contiguous message stream per source
-        self._order_ts: Dict[int, int] = {}
-        #: latest ack timestamp advertised by each source
-        self._peer_ack: Dict[int, int] = {}
+        self._romp = romp
+        #: §7.2 drain state while a synced fault view waits to be
+        #: installed (set by begin_transition, shaped by the rule)
+        self._transition: Optional[tuple] = None
+
+    @abstractmethod
+    def on_reliable(self, msg: FTMPMessage) -> bool: ...
+    @abstractmethod
+    def evaluate(self) -> None: ...
+    @abstractmethod
+    def begin_transition(self, survivors: FrozenSet[int], cut_ts: int,
+                         targets: Optional[Dict[int, int]]) -> None: ...
+    @abstractmethod
+    def transition_drained(self, cut_ts: int) -> bool: ...
+    @abstractmethod
+    def drop_after(self, src: int, seq_cutoff: int) -> int: ...
+    @abstractmethod
+    def drop_all(self, src: int) -> int: ...
+    @abstractmethod
+    def backlog(self) -> int: ...
+
+    def end_transition(self) -> None:
+        """The fault view was installed, or the round was superseded."""
+        self._transition = None
+
+    # -- hooks (no-ops unless a rule needs them) -------------------------
+    def on_own_send(self, msg: FTMPMessage) -> None: ...
+    def release_stable(self, stable: int) -> None: ...
+    def begin_install(self) -> None: ...
+    def on_view_installed(self, prev_membership: Tuple[int, ...], reason: str) -> None: ...
+    def on_join_completed(self) -> None: ...
+    def on_fault_view(self, removed: Tuple[int, ...]) -> None: ...
+    def flush_staging(self, src: int) -> None: ...
+
+    def unsafe_held(self) -> int:
+        """Messages ordered but held for stability (safe delivery)."""
+        return 0
+
+    def leader(self) -> Optional[int]:
+        """The pid whose stream defines the order; None if symmetric."""
+        return None
+
+
+class LamportOrdering(OrderingDiscipline):
+    """The paper's rule (§6): deliver the smallest ``(timestamp, source)``
+    key once ROMP's cover shows every member heard past its timestamp."""
+
+    def __init__(self, group: "GroupContext", romp: "ROMP"):
+        super().__init__(group, romp)
         #: ordering queue: (timestamp, source, insertion seq, message)
         self._queue: List[Tuple[int, int, int, FTMPMessage]] = []
         self._queue_keys: set = set()  #: (ts, src) pairs currently queued
         #: per-source queue index: src -> {timestamp: sequence number}
         self._by_src: Dict[int, Dict[int, int]] = {}
         self._insertion = 0
+        #: ordered messages from sources not (yet) in the membership,
+        #: flushed into the queue when an AddProcessor admits the source
+        self._staging: Dict[int, List[FTMPMessage]] = {}
+        #: safe-delivery hold queue: ordered Regulars awaiting stability
+        self._unsafe: Deque[FTMPMessage] = deque()
+        #: keys of queued messages from members removed by a fault view —
+        #: still deliverable (virtual synchrony grandfathering)
+        self._legacy: set = set()
+
+    def on_reliable(self, msg: FTMPMessage) -> bool:
+        h = msg.header
+        if h.source not in self._romp._gate_set:
+            # A source that is not (yet) a member: stage its ordered
+            # messages until an AddProcessor admits it — never let a
+            # non-member block the head of the ordering queue.
+            stage = self._staging.setdefault(h.source, [])
+            if len(stage) < self._STAGING_CAP:
+                stage.append(msg)
+            return False
+        self._enqueue(msg)
+        return True
+
+    def _enqueue(self, msg: FTMPMessage) -> None:
+        h = msg.header
+        key = (h.timestamp, h.source)
+        if key in self._queue_keys:
+            return
+        self._queue_keys.add(key)
+        self._by_src.setdefault(h.source, {})[h.timestamp] = h.sequence_number
+        heapq.heappush(self._queue, (h.timestamp, h.source, self._insertion, msg))
+        self._insertion += 1
+        stats = self._romp.stats
+        if len(self._queue) > stats.max_queue_depth:
+            stats.max_queue_depth = len(self._queue)
+
+    def evaluate(self) -> None:
+        """Deliver every queue message whose timestamp is covered by all members."""
+        romp = self._romp
+        self.release_stable()  # membership/ack changes may unblock safe holds
+        delivered_any = False
+        while self._queue:
+            ts, src, _ins, msg = self._queue[0]
+            romp._sync_gate()
+            if self._transition is not None:
+                # Fault-view drain (§7.2): the old view's messages are
+                # delivered gated only on the survivors — the convicted
+                # member's stream is synced and can no longer grow — and
+                # nothing of the *new* view is delivered until the view
+                # is installed, so every survivor cuts its delivery
+                # history at exactly the same timestamp.
+                survivors, cut = self._transition
+                if ts > cut:
+                    break
+                if src not in romp._gate_set and (ts, src) not in self._legacy:
+                    break
+                order = romp._order_ts
+                if not all(order.get(p, 0) >= ts for p in survivors):
+                    break
+            else:
+                if src not in romp._gate_set and (ts, src) not in self._legacy:
+                    # A not-yet-added member's message: it always follows the
+                    # AddProcessor (smaller timestamp) in the queue; if the
+                    # source will never join, the view change purges it.
+                    # (Messages grandfathered by a fault view are delivered.)
+                    break
+                cover = romp._cover_ts()
+                if cover is not None and cover < ts:
+                    break
+            heapq.heappop(self._queue)
+            self._queue_keys.discard((ts, src))
+            self._legacy.discard((ts, src))
+            index = self._by_src.get(src)
+            if index is not None:
+                index.pop(ts, None)
+                if not index:
+                    del self._by_src[src]
+            romp.advance_ack(ts)
+            romp.stats.ordered_deliveries += 1
+            delivered_any = True
+            self._dispatch(msg)
+        if delivered_any:
+            romp.stability_pulse()
+        else:
+            romp._notify_stability()
+
+    def _dispatch(self, msg: FTMPMessage) -> None:
+        t = msg.header.message_type
+        if t == MessageType.REGULAR:
+            if self._g.config.delivery_mode == "safe":
+                # hold until the ack timestamps prove every member has it
+                self._unsafe.append(msg)
+                self.release_stable()
+                return
+            self._g.deliver_regular(msg)  # type: ignore[arg-type]
+        else:
+            # Connect / AddProcessor / RemoveProcessor reach PGMP at their
+            # position in the total order, so every member applies the
+            # membership change at the same point in the message stream.
+            self._g.pgmp_receive_ordered(msg)
+
+    def release_stable(self, stable: Optional[int] = None) -> None:
+        if not self._unsafe:
+            return
+        if stable is None:
+            stable = self._romp.stability_timestamp()
+        while self._unsafe and self._unsafe[0].header.timestamp <= stable:
+            msg = self._unsafe.popleft()
+            self._g.deliver_regular(msg)  # type: ignore[arg-type]
+
+    def unsafe_held(self) -> int:
+        return len(self._unsafe)
+
+    # -- §7.2 drain ---------------------------------------------------------
+    def begin_transition(self, survivors: FrozenSet[int], cut_ts: int,
+                         targets: Optional[Dict[int, int]]) -> None:
+        self._transition = (survivors, cut_ts)  # (survivor set, cut timestamp)
+
+    def transition_drained(self, cut_ts: int) -> bool:
+        """The head of the queue (if any) already belongs to the new view."""
+        return not self._queue or self._queue[0][0] > cut_ts
+
+    # -- membership -----------------------------------------------------------
+    def flush_staging(self, src: int) -> None:
+        """Deliberately does NOT evaluate: the caller (view installation)
+        evaluates after the view-change listener has fired, so state
+        captured "at the view change" really precedes the first delivery
+        of the new view."""
+        for msg in self._staging.pop(src, ()):  # preserves arrival (seq) order
+            self._enqueue(msg)
+
+    def _drop_keys(self, src: int, timestamps) -> int:
+        """Remove the given (timestamp, ``src``) keys from the queue."""
+        doomed = set(timestamps)
+        if not doomed:
+            return 0
+        self._queue = [
+            e for e in self._queue if not (e[1] == src and e[0] in doomed)
+        ]
+        heapq.heapify(self._queue)
+        for ts in doomed:
+            self._queue_keys.discard((ts, src))
+        index = self._by_src.get(src)
+        if index is not None:
+            for ts in doomed:
+                index.pop(ts, None)
+            if not index:
+                del self._by_src[src]
+        return len(doomed)
+
+    def drop_after(self, src: int, seq_cutoff: int) -> int:
+        """The rest of ``src``'s queued messages stays deliverable after
+        its removal (grandfathered past the membership gate); its staged
+        ones never will be."""
+        self._staging.pop(src, None)
+        index = self._by_src.get(src, {})
+        dropped = self._drop_keys(
+            src, [ts for ts, seq in index.items() if seq > seq_cutoff]
+        )
+        self._legacy.update((ts, src) for ts in self._by_src.get(src, ()))
+        return dropped
+
+    def drop_all(self, src: int) -> int:
+        self._staging.pop(src, None)
+        index = self._by_src.get(src)
+        if not index:
+            return 0
+        return self._drop_keys(src, list(index))
+
+    def backlog(self) -> int:
+        return len(self._queue)
+
+
+class ROMP:
+    """One ROMP instance per (processor, group) pair."""
+
+    def __init__(self, group: "GroupContext",
+                 discipline: type[OrderingDiscipline] = LamportOrdering):
+        self._g = group
+        #: max timestamp of the contiguous message stream per source
+        self._order_ts: Dict[int, int] = {}
+        #: latest ack timestamp advertised by each source
+        self._peer_ack: Dict[int, int] = {}
         #: my positive acknowledgment: ts of the latest ordered delivery
         self._ack = 0
         #: quiescence barrier after a Connect (§7): no ordered sends until
         #: every member has been heard past this timestamp
         self._send_barrier: Optional[int] = None
-        #: ordered messages from sources not (yet) in the membership,
-        #: flushed into the queue when an AddProcessor admits the source
-        self._staging: Dict[int, List[FTMPMessage]] = {}
-        self._STAGING_CAP = 4096
-        #: safe-delivery hold queue: ordered Regulars awaiting stability
-        self._unsafe: Deque[FTMPMessage] = deque()
         #: highest stability timestamp already reported upward (the
         #: flow-control credit window recycles on this signal)
         self._stable_notified = 0
-        #: fault-view drain (§7.2): (survivor set, cut timestamp) while a
-        #: synced fault view waits to be installed
-        self._transition: Optional[Tuple[FrozenSet[int], int]] = None
         #: membership tuple the incremental min trackers were built for;
         #: compared by identity (membership tuples are replaced, never
         #: mutated), so the steady-state staleness check is one ``is``
@@ -108,26 +344,11 @@ class ROMP:
         self._cover_heap: List[Tuple[int, int]] = []
         #: lazy min-heap of (ack, pid) entries over the membership
         self._ack_heap: List[Tuple[int, int]] = []
+        #: the dissemination's aggregated stability floor (0 = none)
+        self._floor = group.dissemination.stability_floor
         self.stats = ROMPStats()
-        #: LLFT leader-follower ordering engine; replaces the symmetric
-        #: delivery rule when ``llft_mode`` is on.  None = legacy (the
-        #: engine is never even constructed, so the knob-off path is
-        #: bit-identical).
-        self.llft: Optional[LeaderOrdering] = (
-            LeaderOrdering(group) if group.config.llft_mode else None  # type: ignore[arg-type]
-        )
-        #: overlay dissemination engine; adds tree routing and the
-        #: aggregated stability floor when ``overlay_mode`` is on.  None
-        #: = legacy flat dissemination (never constructed, bit-identical).
-        self.overlay: Optional[OverlayDissemination] = (
-            OverlayDissemination(group) if group.config.overlay_mode else None  # type: ignore[arg-type]
-        )
-        #: multi-group atomic-multicast delivery stage; interposes on the
-        #: ordered dispatch when ``multigroup_mode`` is on.  None = legacy
-        #: (never constructed, bit-identical).
-        self.multigroup: Optional[MultiGroupEngine] = (
-            MultiGroupEngine(group) if group.config.multigroup_mode else None  # type: ignore[arg-type]
-        )
+        #: the delivery rule (paper §6 by default)
+        self.ordering: OrderingDiscipline = discipline(group, self)
 
     # ------------------------------------------------------------------
     # incremental gate/stability min tracking
@@ -180,7 +401,7 @@ class ROMP:
             self._peer_ack[src] = ack
             if src in self._gate_set:
                 heapq.heappush(self._ack_heap, (ack, src))
-            self._maybe_collect()
+            self.stability_pulse()
         self._g.note_alive(src)
 
     # ------------------------------------------------------------------
@@ -190,32 +411,11 @@ class ROMP:
         """A reliable message, delivered by RMP in source order."""
         h = msg.header
         self.observe_header(h)
-        self._advance_order_ts(h.source, h.timestamp)
+        self.advance_order_ts(h.source, h.timestamp)
         self._sync_gate()
-        if self.llft is not None:
-            # LLFT mode: ordered messages go to the leader-follower
-            # engine (announce / park / replay); the clock, cover and ack
-            # bookkeeping above is shared with the legacy path, so
-            # stability keeps advancing asynchronously underneath.
-            if h.message_type in TOTALLY_ORDERED_TYPES:
-                self.llft.on_reliable(msg)
-            else:
-                if h.source not in self._gate_set:
-                    return  # stale control traffic from an evicted processor
-                self.stats.bypass_deliveries += 1
-                self._g.pgmp_receive_source_ordered(msg)
-            self.evaluate()
-            return
         if h.message_type in TOTALLY_ORDERED_TYPES:
-            if h.source not in self._gate_set:
-                # A source that is not (yet) a member: stage its ordered
-                # messages until an AddProcessor admits it — never let a
-                # non-member block the head of the ordering queue.
-                stage = self._staging.setdefault(h.source, [])
-                if len(stage) < self._STAGING_CAP:
-                    stage.append(msg)
+            if not self.ordering.on_reliable(msg):
                 return
-            self._enqueue(msg)
         else:
             # Suspect / Membership: reliable, source-ordered, NOT total order
             if h.source not in self._gate_set:
@@ -224,124 +424,31 @@ class ROMP:
             self._g.pgmp_receive_source_ordered(msg)
         self.evaluate()
 
-    def _enqueue(self, msg: FTMPMessage) -> None:
-        h = msg.header
-        key = (h.timestamp, h.source)
-        if key in self._queue_keys:
-            return
-        self._queue_keys.add(key)
-        self._by_src.setdefault(h.source, {})[h.timestamp] = h.sequence_number
-        heapq.heappush(self._queue, (h.timestamp, h.source, self._insertion, msg))
-        self._insertion += 1
-        if len(self._queue) > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = len(self._queue)
-
     def receive_heartbeat(self, msg: HeartbeatMessage) -> None:
         """A heartbeat whose seq is contiguous with its source's stream."""
         h = msg.header
         self.observe_header(h)
-        self._advance_order_ts(h.source, h.timestamp)
+        self.advance_order_ts(h.source, h.timestamp)
         self.evaluate()
 
-    def _advance_order_ts(self, src: int, ts: int) -> None:
+    def advance_order_ts(self, src: int, ts: int) -> None:
+        """Advance ``src``'s contiguous-stream timestamp to ``ts``.
+
+        The overlay's §6 aggregation calls this from a progress entry,
+        which is sound only after it verified local contiguity through
+        the entry's sequence number: the entry claims every message from
+        ``src`` with timestamp <= ``ts`` has seq <= that number, so
+        nothing below ``ts`` can still arrive from ``src``.
+        """
         if ts > self._order_ts.get(src, 0):
             self._order_ts[src] = ts
             if src in self._gate_set:
                 heapq.heappush(self._cover_heap, (ts, src))
 
-    # ------------------------------------------------------------------
-    # the total-order delivery rule
-    # ------------------------------------------------------------------
     def evaluate(self) -> None:
-        """Deliver every queue message whose timestamp is covered by all members."""
-        if self.llft is not None:
-            # LLFT mode: delivery is the engine's replay of the leader's
-            # stream.  The positive acknowledgement is the *cover*
-            # timestamp — the stream heard contiguously from every member
-            # — which is exactly the legacy ack's meaning ("everything at
-            # or below was received from all members") without coupling
-            # it to deliveries, so stability/GC/flow-credits advance in
-            # the background while the engine delivers ahead of them.
-            self.llft.process()
-            cover = self._cover_ts()
-            if cover is not None and cover > self._ack:
-                self._ack = cover
-                if self._g.pid in self._gate_set:
-                    heapq.heappush(self._ack_heap, (cover, self._g.pid))
-            self._maybe_collect()
-            self._check_send_barrier()
-            return
-        self._release_safe()  # membership/ack changes may unblock safe holds
-        delivered_any = False
-        while self._queue:
-            ts, src, _ins, msg = self._queue[0]
-            self._sync_gate()
-            if self._transition is not None:
-                # Fault-view drain (§7.2): the old view's messages are
-                # delivered gated only on the survivors — the convicted
-                # member's stream is synced and can no longer grow — and
-                # nothing of the *new* view is delivered until the view
-                # is installed, so every survivor cuts its delivery
-                # history at exactly the same timestamp.
-                survivors, cut = self._transition
-                if ts > cut:
-                    break
-                if src not in self._gate_set and (ts, src) not in self._g.legacy_keys:
-                    break
-                order = self._order_ts
-                if not all(order.get(p, 0) >= ts for p in survivors):
-                    break
-            else:
-                if src not in self._gate_set and (ts, src) not in self._g.legacy_keys:
-                    # A not-yet-added member's message: it always follows the
-                    # AddProcessor (smaller timestamp) in the queue; if the
-                    # source will never join, the view change purges it.
-                    # (Messages grandfathered by a fault view are delivered.)
-                    break
-                cover = self._cover_ts()
-                if cover is not None and cover < ts:
-                    break
-            heapq.heappop(self._queue)
-            self._queue_keys.discard((ts, src))
-            index = self._by_src.get(src)
-            if index is not None:
-                index.pop(ts, None)
-                if not index:
-                    del self._by_src[src]
-            if ts > self._ack:
-                self._ack = ts
-                if self._g.pid in self._gate_set:
-                    heapq.heappush(self._ack_heap, (ts, self._g.pid))
-            self.stats.ordered_deliveries += 1
-            delivered_any = True
-            self._dispatch(msg)
-        if delivered_any:
-            self._maybe_collect()
-        else:
-            self._notify_stability()
+        """Run the discipline's delivery rule, then re-check the §7 barrier."""
+        self.ordering.evaluate()
         self._check_send_barrier()
-
-    def _dispatch(self, msg: FTMPMessage) -> None:
-        if self.multigroup is not None:
-            # Multi-group mode: every released message enters the
-            # extended-key delivery stage (uncommitted multi-group
-            # proposals hold back larger keys until their commit).  The
-            # config layer forbids combining this with safe delivery.
-            self.multigroup.on_ordered(msg)
-            return
-        t = msg.header.message_type
-        if t == MessageType.REGULAR:
-            if self._g.config.delivery_mode == "safe":
-                # hold until the ack timestamps prove every member has it
-                self._unsafe.append(msg)
-                self._release_safe()
-                return
-            self._g.deliver_regular(msg)  # type: ignore[arg-type]
-        else:
-            # Connect / AddProcessor / RemoveProcessor reach PGMP at their
-            # position in the total order, so every member applies the
-            # membership change at the same point in the message stream.
-            self._g.pgmp_receive_ordered(msg)
 
     # ------------------------------------------------------------------
     # acknowledgements & buffer management
@@ -351,20 +458,24 @@ class ROMP:
         """Value stamped into the ack field of every outgoing message."""
         return self._ack
 
+    def advance_ack(self, ts: int) -> None:
+        """Raise our positive acknowledgement to ``ts`` (never lowers it)."""
+        if ts > self._ack:
+            self._ack = ts
+            if self._g.pid in self._gate_set:
+                heapq.heappush(self._ack_heap, (ts, self._g.pid))
+
     def stability_timestamp(self) -> int:
         """Everything at/below this timestamp is stable (§6).
 
         The legacy signal is the min over members of their directly heard
-        acks; in overlay mode the tree-aggregated floor — a sound lower
-        bound over the same membership — is folded in, so stability keeps
-        advancing even though most members never hear each other's acks
-        directly.
+        acks; the dissemination's aggregated floor (the overlay tree's —
+        a sound lower bound over the same membership; 0 when flat) is
+        folded in, so stability keeps advancing even though most members
+        never hear each other's acks directly.
         """
         legacy = self._legacy_stability()
-        ov = self.overlay
-        if ov is None:
-            return legacy
-        floor = ov.stability_floor()
+        floor = self._floor()
         return floor if floor > legacy else legacy
 
     def _legacy_stability(self) -> int:
@@ -389,28 +500,14 @@ class ROMP:
         cover = self._cover_ts()
         return 0 if cover is None else cover
 
-    def adopt_order_progress(self, src: int, ts: int) -> None:
-        """Overlay §6 aggregation: advance ``src``'s contiguous-stream
-        timestamp from a progress entry.
-
-        Sound only after the caller verified local contiguity through the
-        entry's sequence number: the entry claims every message from
-        ``src`` with timestamp <= ``ts`` has seq <= that number, so
-        nothing below ``ts`` can still arrive from ``src``.
-        """
-        self._advance_order_ts(src, ts)
-
-    def overlay_stability_pulse(self) -> None:
-        """The aggregated floor may have advanced without new deliveries:
-        re-run GC / safe-release / credit notification."""
-        self._maybe_collect()
-
-    def _maybe_collect(self) -> None:
+    def stability_pulse(self) -> None:
+        """Stability may have advanced: release safe holds, report the
+        advance upward and collect the retransmission buffer."""
         # stability_timestamp() walks the lazy ack heap (and the overlay
         # floor); compute it once and thread the value through the three
         # consumers — this runs on every ack advance under load
         stable = self.stability_timestamp()
-        self._release_safe(stable)
+        self.ordering.release_stable(stable)
         self._notify_stability(stable)
         if not self._g.config.buffer_gc_enabled:
             return
@@ -433,18 +530,9 @@ class ROMP:
             self._stable_notified = stable
             self._g.on_stability_advance(stable)
 
-    def _release_safe(self, stable: Optional[int] = None) -> None:
-        if not self._unsafe:
-            return
-        if stable is None:
-            stable = self.stability_timestamp()
-        while self._unsafe and self._unsafe[0].header.timestamp <= stable:
-            msg = self._unsafe.popleft()
-            self._g.deliver_regular(msg)  # type: ignore[arg-type]
-
     def unsafe_held(self) -> int:
         """Messages totally ordered but awaiting stability (safe mode)."""
-        return len(self._unsafe)
+        return self.ordering.unsafe_held()
 
     # ------------------------------------------------------------------
     # quiescence barrier after Connect (§7)
@@ -493,127 +581,51 @@ class ROMP:
         synchrony guarantee the oracles check.
 
         ``targets`` is the synchronized per-source sequence vector of the
-        round; LLFT mode needs it (the leader's stream cut is a sequence
-        number, not a timestamp) and the legacy rule ignores it.
+        round; the LLFT discipline needs it (the leader's stream cut is a
+        sequence number, not a timestamp) and the Lamport rule ignores it.
         """
-        self._transition = (frozenset(survivors), cut_ts)
-        if self.llft is not None:
-            self.llft.begin_transition(frozenset(survivors), cut_ts, targets)
+        self.ordering.begin_transition(frozenset(survivors), cut_ts, targets)
         self.evaluate()
 
     def end_transition(self) -> None:
-        self._transition = None
-        if self.llft is not None:
-            self.llft.end_transition()
+        self.ordering.end_transition()
 
     def transition_drained(self, cut_ts: int) -> bool:
-        """True when every old-view message has been delivered — i.e. the
-        head of the queue (if any) already belongs to the new view."""
-        if self.llft is not None:
-            return self.llft.transition_drained()
-        return not self._queue or self._queue[0][0] > cut_ts
+        """True when every old-view message has been delivered."""
+        return self.ordering.transition_drained(cut_ts)
 
     # ------------------------------------------------------------------
     # membership-change support
     # ------------------------------------------------------------------
     def purge_source(self, src: int, clean: bool = False) -> None:
-        """Forget a departed member (keep its already-queued messages only
-        if it was removed by RemoveProcessor/Membership *after* syncing —
-        the caller decides by calling purge_queue too).
+        """Forget a departed member's clock and ack (its undelivered
+        messages are the discipline's: the caller drops them first with
+        ``ordering.drop_all`` or, after a §7.2 sync, ``drop_after``).
 
         ``clean`` marks a graceful (§7.1 ordered) departure.  Only then is
-        the member's final clock handed to the overlay for re-emission: a
-        laggard that has not ordered the RemoveProcessor yet still gates
-        its cover on that clock, and delivering the removal here required
-        our cover — hence this order timestamp — to reach the removal's
-        timestamp, so the snapshot is exactly the evidence the laggard is
-        missing.  A *convicted* (crashed) member's clock must NOT be
-        re-emitted: the entries would keep refreshing the dead member's
-        liveness at laggards, suppressing the very suspicion that lets
-        them join the §7.2 fault round — their only path to the new view.
+        the member's final clock handed to the dissemination for
+        re-emission: a laggard that has not ordered the RemoveProcessor
+        yet still gates its cover on that clock, and delivering the
+        removal here required our cover — hence this order timestamp — to
+        reach the removal's timestamp, so the snapshot is exactly the
+        evidence the laggard is missing.  A *convicted* (crashed) member's
+        clock must NOT be re-emitted: the entries would keep refreshing
+        the dead member's liveness at laggards, suppressing the very
+        suspicion that lets them join the §7.2 fault round — their only
+        path to the new view.
         """
-        if clean and self.overlay is not None:
-            self.overlay.note_departure(src, self._order_ts.get(src, 0))
+        if clean:
+            self._g.dissemination.note_departure(src, self._order_ts.get(src, 0))
         self._order_ts.pop(src, None)
         self._peer_ack.pop(src, None)
-        self._staging.pop(src, None)
         # the min trackers may hold entries for the purged source whose
         # live value just vanished; force a rebuild at the next query
         self._gate_members = None
-
-    def flush_staging(self, src: int) -> None:
-        """Move a freshly admitted member's staged messages into the queue.
-
-        Deliberately does NOT evaluate: the caller (view installation)
-        evaluates after the view-change listener has fired, so state
-        captured "at the view change" really precedes the first delivery
-        of the new view.
-        """
-        for msg in self._staging.pop(src, ()):  # preserves arrival (seq) order
-            self._enqueue(msg)
-
-    def _drop_keys(self, src: int, timestamps) -> int:
-        """Remove the given (timestamp, ``src``) keys from the queue."""
-        doomed = set(timestamps)
-        if not doomed:
-            return 0
-        self._queue = [
-            e for e in self._queue if not (e[1] == src and e[0] in doomed)
-        ]
-        heapq.heapify(self._queue)
-        for ts in doomed:
-            self._queue_keys.discard((ts, src))
-        index = self._by_src.get(src)
-        if index is not None:
-            for ts in doomed:
-                index.pop(ts, None)
-            if not index:
-                del self._by_src[src]
-        return len(doomed)
-
-    def purge_queue_after(self, src: int, seq_cutoff: int) -> int:
-        """Drop queued messages from ``src`` with seq > ``seq_cutoff``.
-
-        Used at fault-view installation: messages beyond the synchronized
-        prefix were not received by every survivor and must not be
-        delivered anywhere (virtual synchrony)."""
-        dropped = 0
-        if self.llft is not None:
-            dropped += self.llft.drop_after(src, seq_cutoff)
-        index = self._by_src.get(src)
-        if not index:
-            return dropped
-        return dropped + self._drop_keys(
-            src, [ts for ts, seq in index.items() if seq > seq_cutoff]
-        )
-
-    def purge_queue_of(self, src: int) -> int:
-        """Drop queued (undeliverable) messages from a departed source."""
-        dropped = 0
-        if self.llft is not None:
-            dropped += self.llft.drop_all(src)
-        index = self._by_src.get(src)
-        if not index:
-            return dropped
-        return dropped + self._drop_keys(src, list(index))
 
     def order_ts(self, src: int) -> int:
         """Timestamp up to which ``src``'s stream has been heard contiguously."""
         return self._order_ts.get(src, 0)
 
     def queued(self) -> int:
-        """Current ordering-queue depth (LLFT: the parked backlog)."""
-        depth = len(self._queue)
-        if self.llft is not None:
-            depth += self.llft.backlog()
-        if self.multigroup is not None:
-            depth += self.multigroup.backlog()
-        return depth
-
-    def queued_from(self, src: int) -> int:
-        """Queued messages originated by ``src`` (O(1) via the index)."""
-        return len(self._by_src.get(src, ()))
-
-    def keys_from(self, src: int) -> List[Tuple[int, int]]:
-        """(timestamp, source) keys of queued messages from ``src``."""
-        return [(ts, src) for ts in sorted(self._by_src.get(src, ()))]
+        """Current ordering backlog (the discipline's queue depth)."""
+        return self.ordering.backlog()

@@ -45,6 +45,7 @@ from .datapath import ProcessorGroup
 from .events import ConnectionEvent, Listener, ViewChange
 from .lamport import make_clock
 from .messages import ConnectionId, ConnectRequestMessage, FTMPHeader
+from .multigroup import MultiGroupOrdering
 from .stats import StackStats, StatsRegistry
 from .tracing import Tracer
 from .wire import CodecError, decode, decode_view, encode, peek_header
@@ -160,7 +161,7 @@ class FTMPStack:
 
     def multicast_groups(self, group_ids: Tuple[int, ...], payload: bytes,
                          conflict_class: int = 0) -> int:
-        """Genuine multi-group atomic multicast (``multigroup_mode``).
+        """Genuine multi-group atomic multicast (``ordering="multigroup"``).
 
         Delivers ``payload`` in every group of ``group_ids`` such that any
         two multi-group multicasts are delivered in the same relative
@@ -177,17 +178,17 @@ class FTMPStack:
         across groups.  Returns the multicast's ``mg_seq`` —
         ``(pid, mg_seq)`` identifies it across all its groups.
         """
-        if not self.config.multigroup_mode:
-            raise RuntimeError("multicast_groups requires multigroup_mode")
         gids = tuple(sorted(set(group_ids)))
         if not gids:
             raise ValueError("empty group set")
         groups = []
         for gid in gids:
             g = self._require_group(gid)
+            if not isinstance(g.romp.ordering, MultiGroupOrdering):
+                raise RuntimeError("multicast_groups requires ordering='multigroup'")
             if g.joining:
                 raise RuntimeError(f"cannot multicast before joining group {gid}")
-            groups.append(g)
+            groups.append(g.romp.ordering)
         self._mg_seq += 1
         mg_seq = self._mg_seq
         # Stamp+send all proposals first: every commit header is then
@@ -195,13 +196,13 @@ class FTMPStack:
         # committed maximum — the property that lets the delivery stage
         # treat the commit's own ordered position as the stability proof.
         commit_ts = 0
-        for g in groups:
-            ts = g.send_multigroup_propose(mg_seq, conflict_class, gids, payload)
+        for mg in groups:
+            ts = mg.send_propose(mg_seq, conflict_class, gids, payload)
             if ts > commit_ts:
                 commit_ts = ts
         if conflict_class == 0:
-            for g in groups:
-                g.send_multigroup_commit(self.pid, mg_seq, commit_ts)
+            for mg in groups:
+                mg.send_commit(self.pid, mg_seq, commit_ts)
         return mg_seq
 
     def add_processor(self, group_id: int, new_pid: int) -> None:

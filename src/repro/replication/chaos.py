@@ -141,7 +141,7 @@ class ChaosPlan:
     packet_overhead: int = 0
     #: non-empty = host these (overlapping) groups instead of one group
     #: spanning ``initial_members``; the campaign runner then mixes
-    #: multi-group multicasts into the traffic (``multigroup_mode``)
+    #: multi-group multicasts into the traffic (``ordering="multigroup"``)
     groups: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """LLFT replication mode — the public face of the leader-follower path.
 
-The ordering engine itself lives in :mod:`repro.core.llft` (it is a
-datapath concern, wired under ROMP when ``FTMPConfig.llft_mode`` is on).
+The ordering discipline itself lives in :mod:`repro.core.llft` (it is a
+datapath concern, held by ROMP when ``FTMPConfig.ordering`` is ``"llft"``).
 This module is the replication-layer entry point: helpers to build an
 LLFT configuration, to ask a running stack who leads a group, and the
 re-exported engine types for tests and tooling.
@@ -42,18 +42,16 @@ def llft_config(base: Optional[FTMPConfig] = None,
     the smallest member pid.
     """
     cfg = base if base is not None else FTMPConfig()
-    return dataclasses.replace(cfg, llft_mode=True, llft_leader_pid=leader)
+    return dataclasses.replace(cfg, ordering="llft", llft_leader_pid=leader)
 
 
 def current_leader(stack: FTMPStack, group_id: int) -> Optional[int]:
     """The pid currently ordering ``group_id`` at this stack, or None.
 
-    None when the stack does not have the group or runs in legacy active
-    mode (symmetric ordering — no processor is special).  During a view
-    change the answer is this processor's deterministic projection from
-    its current membership; every member converges on it with the view.
+    None when the stack does not have the group or its ordering is
+    symmetric (no processor is special).  During a view change the answer
+    is this processor's deterministic projection from its current
+    membership; every member converges on it with the view.
     """
     g = stack.group(group_id)
-    if g is None or g.romp.llft is None:
-        return None
-    return g.romp.llft.leader()
+    return None if g is None else g.romp.ordering.leader()

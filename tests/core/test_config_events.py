@@ -29,6 +29,48 @@ def test_with_creates_modified_copy():
     assert cfg2.nack_delay == cfg.nack_delay
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"ordering": "paxos"},
+    {"ordering": "LLFT"},
+    {"delivery_mode": "Safe"},
+    {"delivery_mode": "uniform"},
+    {"ordering": "llft", "delivery_mode": "safe"},
+    {"ordering": "llft", "overlay_mode": True},
+    {"ordering": "multigroup", "delivery_mode": "safe"},
+    {"ordering": "multigroup", "overlay_mode": True},
+])
+def test_config_rejects_unknown_or_conflicting_values(kwargs):
+    with pytest.raises(ValueError):
+        FTMPConfig(**kwargs)
+    with pytest.raises(ValueError):
+        FTMPConfig().with_(**kwargs)  # copies are validated too
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"delivery_mode": "safe"},
+    {"delivery_mode": "safe", "overlay_mode": True},
+    {"ordering": "llft"},
+    {"ordering": "multigroup"},
+])
+def test_config_accepts_supported_combinations(kwargs):
+    FTMPConfig(**kwargs)
+
+
+def test_ordering_replaces_the_mode_flags():
+    fields = {f.name for f in dataclasses.fields(FTMPConfig)}
+    assert "ordering" in fields and "overlay_mode" in fields
+    assert not {"llft_mode", "multigroup_mode"} & fields
+    assert FTMPConfig().ordering == "lamport"
+
+
+def test_every_ordering_value_builds_a_discipline():
+    from repro.core.config import ORDERINGS
+    from repro.core.datapath import _ORDERINGS
+
+    assert set(ORDERINGS) == set(_ORDERINGS)
+
+
 def test_default_listener_is_noop():
     listener = Listener()
     d = Delivery(group=1, source=1, sequence_number=1, timestamp=1,

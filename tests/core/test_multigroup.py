@@ -1,6 +1,6 @@
 """Multi-group atomic multicast: engine unit tests + stack API guards.
 
-The :class:`MultiGroupEngine` is a deterministic state machine fed one
+The :class:`MultiGroupOrdering` stage is a deterministic state machine fed one
 group's totally-ordered release sequence, so the unit tests here drive
 it directly with hand-built messages through a stub ``GroupContext`` —
 the only two methods the engine calls back into are ``deliver_regular``
@@ -22,7 +22,7 @@ from repro.core.messages import (
 from repro.core.multigroup import (
     MULTI_GROUP_CID,
     MULTI_GROUP_COMMUTATIVE_CID,
-    MultiGroupEngine,
+    MultiGroupOrdering,
     is_multigroup_delivery,
     is_total_multigroup_delivery,
     mg_request_num,
@@ -45,7 +45,7 @@ class _StubGroup:
 
 def _engine():
     g = _StubGroup()
-    return MultiGroupEngine(g), g
+    return MultiGroupOrdering(g, None), g
 
 
 def _hdr(mtype, source, ts):
@@ -76,13 +76,12 @@ def _regular(source, ts, payload=b"app"):
 # ---------------------------------------------------------------------------
 
 def test_multigroup_mode_is_mutually_exclusive():
+    # multigroup + llft is unrepresentable: both are values of `ordering`
     with pytest.raises(ValueError):
-        FTMPConfig(multigroup_mode=True, llft_mode=True)
+        FTMPConfig(ordering="multigroup", overlay_mode=True)
     with pytest.raises(ValueError):
-        FTMPConfig(multigroup_mode=True, overlay_mode=True)
-    with pytest.raises(ValueError):
-        FTMPConfig(multigroup_mode=True, delivery_mode="safe")
-    FTMPConfig(multigroup_mode=True)  # alone: fine
+        FTMPConfig(ordering="multigroup", delivery_mode="safe")
+    FTMPConfig(ordering="multigroup")  # alone: fine
 
 
 def test_sentinel_predicates_and_request_num():
@@ -264,7 +263,7 @@ def test_cross_group_agreement_and_genuineness():
     # genuineness: the uninvolved group moved no ordering machinery
     for pid in (1, 2, 3, 4):
         assert order(pid, 9) == []
-        mg = c.stacks[pid].group(9).romp.multigroup
+        mg = c.stacks[pid].group(9).romp.ordering
         assert mg.stats.proposes_ordered == 0
         assert mg.stats.delivered_total == 0
 
@@ -279,4 +278,4 @@ def test_commutative_stack_level_no_commit_traffic():
                 if d.group == gid and is_multigroup_delivery(d.connection_id)]
         assert cids == [MULTI_GROUP_COMMUTATIVE_CID]
     for gid in (1, 2):
-        assert c.stacks[1].group(gid).romp.multigroup.stats.commits_sent == 0
+        assert c.stacks[1].group(gid).romp.ordering.stats.commits_sent == 0

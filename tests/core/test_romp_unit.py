@@ -4,6 +4,7 @@ from typing import List
 
 from repro.core import FTMPConfig, LamportClock, MessageType, RetransmissionBuffer
 from repro.core.messages import FTMPHeader, HeartbeatMessage, RegularMessage, ConnectionId
+from repro.core.overlay import FlatDissemination
 from repro.core.romp import ROMP
 
 
@@ -16,7 +17,7 @@ class MockGroup:
         self.config = FTMPConfig()
         self.clock = LamportClock()
         self.buffer = RetransmissionBuffer()
-        self.legacy_keys = set()
+        self.dissemination = FlatDissemination(self, stack=None)
         self.delivered: List[RegularMessage] = []
         self.ordered_control: List = []
         self.source_ordered: List = []
@@ -139,7 +140,7 @@ def test_staging_holds_non_member_sources_until_flush():
     assert g.delivered == []
     # admit 9 and flush: the staged message enters the queue
     g.membership = (1, 2, 9)
-    r.flush_staging(9)
+    r.ordering.flush_staging(9)
     assert r.queued() == 1
     r.receive_heartbeat(heartbeat(1, ts=9))
     r.receive_heartbeat(heartbeat(2, ts=9))
@@ -150,10 +151,10 @@ def test_staging_holds_non_member_sources_until_flush():
 def test_staging_is_capacity_bounded():
     g = MockGroup(membership=(1,))
     r = ROMP(g)
-    r._STAGING_CAP = 3
+    r.ordering._STAGING_CAP = 3
     for ts in range(1, 10):
         r.receive(regular(9, ts=ts, seq=ts))
-    assert len(r._staging[9]) == 3
+    assert len(r.ordering._staging[9]) == 3
 
 
 def test_send_barrier_blocks_until_coverage():
@@ -176,10 +177,10 @@ def test_purge_queue_after_seq_cutoff():
     r.receive(regular(3, ts=6, seq=2))
     r.receive(regular(3, ts=7, seq=3))
     assert r.queued() == 3
-    dropped = r.purge_queue_after(3, seq_cutoff=1)
+    dropped = r.ordering.drop_after(3, seq_cutoff=1)
     assert dropped == 2
-    assert r.queued_from(3) == 1
-    assert r.keys_from(3) == [(5, 3)]
+    assert r.queued() == 1
+    assert r.ordering._legacy == {(5, 3)}  # the kept message is grandfathered
 
 
 def test_legacy_keys_allow_delivery_from_departed_member():
@@ -188,7 +189,7 @@ def test_legacy_keys_allow_delivery_from_departed_member():
     r.receive(regular(3, ts=5, seq=1))
     # 3 departs; its queued message is grandfathered
     g.membership = (1, 2)
-    g.legacy_keys = {(5, 3)}
+    r.ordering.drop_after(3, seq_cutoff=1)
     r.purge_source(3)
     r.receive_heartbeat(heartbeat(1, ts=9))
     r.receive_heartbeat(heartbeat(2, ts=9))

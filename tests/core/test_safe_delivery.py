@@ -107,7 +107,7 @@ def test_long_safe_hold_queue_releases_in_fifo_order():
         c.net.scheduler.at(c.net.scheduler.now + 0.0002 * i,
                            c.stacks[1].multicast, 1, b"h%d" % i)
     g2 = c.stacks[2].group(1)
-    assert isinstance(g2.romp._unsafe, deque)
+    assert isinstance(g2.romp.ordering._unsafe, deque)
     # sample the hold depth across the whole ordered-but-unstable window
     # (ordering needs 3's clock past the burst: ~ one one-way latency;
     # stability needs 3's acks back: ~ a full round trip)
