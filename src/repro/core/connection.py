@@ -417,7 +417,13 @@ class DuplicateDetector:
         if request_num <= mark:
             self.duplicates_suppressed += 1
             return True
-        sparse = self._sparse.setdefault(key, set())
+        sparse = self._sparse.get(key)
+        if sparse is None:
+            if request_num == mark + 1:
+                self._watermark[key] = request_num  # in order: no set at all
+            else:
+                self._sparse[key] = {request_num}
+            return False
         if request_num in sparse:
             self.duplicates_suppressed += 1
             return True
@@ -427,6 +433,8 @@ class DuplicateDetector:
             mark += 1
             sparse.discard(mark)
         self._watermark[key] = mark
+        if not sparse:
+            del self._sparse[key]
         return False
 
     def seen_count(self, cid: ConnectionId, kind: str) -> int:

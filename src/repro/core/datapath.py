@@ -122,11 +122,8 @@ class GroupContext(Protocol):
     dissemination: FlatDissemination
 
     # -- identity / environment ----------------------------------------
-    @property
-    def pid(self) -> int: ...
-
-    @property
-    def config(self) -> FTMPConfig: ...
+    pid: int
+    config: FTMPConfig
 
     @property
     def rng(self) -> "Random": ...
@@ -640,24 +637,23 @@ class ReceivePath:
                 g.pgmp.prepare_join(msg)
             if g.join_barrier is None:
                 return
-            g.romp.observe_header(msg.header)
-            self._feed_rmp(msg, raw)
-            return
-        if g.traced:
+        elif g.traced:
             g.trace("recv", type=msg.header.message_type.name,
                     src=msg.header.source, seq=msg.header.sequence_number)
         # every datagram carries usable clock / ack / liveness information
         # (RetransmitRequests included); ordering advancement stays gated
-        # on contiguity inside ROMP
-        g.romp.observe_header(msg.header)
-        self._feed_rmp(msg, raw)
-
-    def _feed_rmp(self, msg: FTMPMessage, raw: bytes) -> None:
+        # on contiguity inside ROMP, which skips re-observing this header
+        # if RMP hands the message straight up
+        romp = g.romp
+        h = msg.header
+        romp.observe_header(h)
+        romp.observed = h
         self._current_raw = raw
         try:
-            self._g.rmp.on_message(msg)
+            g.rmp.on_message(msg)
         finally:
             self._current_raw = None
+            romp.observed = None
 
 
 class ProcessorGroup:
@@ -678,6 +674,9 @@ class ProcessorGroup:
         joining: bool = False,
     ):
         self._stack = stack
+        #: the stack's pid and config, bound once: read on every datagram
+        self.pid: int = stack.pid
+        self.config: FTMPConfig = stack.config
         self.group_id = group_id
         self.address = address
         self.membership: Tuple[int, ...] = tuple(sorted(membership))
@@ -751,14 +750,6 @@ class ProcessorGroup:
     # ------------------------------------------------------------------
     # context surface used by the protocol layers (GroupContext)
     # ------------------------------------------------------------------
-    @property
-    def pid(self) -> int:
-        return self._stack.pid
-
-    @property
-    def config(self) -> FTMPConfig:
-        return self._stack.config
-
     @property
     def rng(self):
         return self._stack.endpoint.random()

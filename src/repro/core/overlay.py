@@ -163,6 +163,9 @@ class FlatDissemination:
 
     #: registry name of ``stats`` (``group.N.<key>``); None = none
     stats_key: Optional[str] = None
+    #: :meth:`stability_floor` never changes, so ROMP need not recompute
+    #: stability for it (the tree's floor moves with neighbour reports)
+    static_floor = True
 
     def __init__(self, group: "ProcessorGroup", stack: "FTMPStack"):
         self._g = group
@@ -197,6 +200,7 @@ class OverlayDissemination(FlatDissemination):
     """
 
     stats_key = "overlay"
+    static_floor = False
 
     def __init__(self, group: "ProcessorGroup", stack: "FTMPStack"):
         super().__init__(group, stack)

@@ -41,6 +41,21 @@ membership tuple changes (views are rare; the rebuild is one O(n) pass),
 which the query detects by tuple identity.  The Lamport ordering queue
 keeps a per-source index (``_by_src``) so per-source queries and purges
 no longer scan the whole queue.
+
+Heartbeats keep the order moving, so the fixed cost of one datagram
+dominates; two rules keep it down.  *Observe once*: the receive path
+folds each datagram's header in before RMP sees it and marks it
+:attr:`ROMP.observed`, so a message RMP hands up within that same call
+is not observed again — one released later from RMP's pending map, or a
+deferred heartbeat, is (its liveness refresh belongs to the release
+time).  *Stability dirty mark*: an evaluation that delivers nothing
+reports stability only after one of its inputs moved since the last
+report — our ack, the membership (every min-tracker rebuild, which a
+purge forces), or a dissemination floor that is not static (the tree's
+moves, so it recomputes every time); a peer ack advance reports at once
+through :meth:`ROMP.stability_pulse`.  Only the reporting paths clear
+the mark: safe delivery's own recomputation does not report, so it
+leaves the mark set.
 """
 
 from __future__ import annotations
@@ -130,6 +145,11 @@ class OrderingDiscipline(ABC):
 
     def leader(self) -> Optional[int]:
         """The pid whose stream defines the order; None if symmetric."""
+        return None
+
+    def head(self) -> Optional[Tuple[int, int]]:
+        """``(timestamp, source)`` of the next message the rule would
+        deliver; None when nothing is queued or the rule has no head."""
         return None
 
 
@@ -316,6 +336,12 @@ class LamportOrdering(OrderingDiscipline):
     def backlog(self) -> int:
         return len(self._queue)
 
+    def head(self) -> Optional[Tuple[int, int]]:
+        if not self._queue:
+            return None
+        ts, src, _ins, _msg = self._queue[0]
+        return (ts, src)
+
 
 class ROMP:
     """One ROMP instance per (processor, group) pair."""
@@ -346,6 +372,16 @@ class ROMP:
         self._ack_heap: List[Tuple[int, int]] = []
         #: the dissemination's aggregated stability floor (0 = none)
         self._floor = group.dissemination.stability_floor
+        #: value of the stability mark once a report cleared it: False
+        #: when the floor is static, True when it can move on its own
+        self._floor_moves = not group.dissemination.static_floor
+        #: an input of :meth:`stability_timestamp` may have moved since
+        #: its value was last reported (see the module docstring)
+        self._stability_dirty = True
+        #: header of the datagram the receive path is feeding through RMP,
+        #: already folded in by :meth:`observe_header`; None between
+        #: datagrams
+        self.observed: Optional[FTMPHeader] = None
         self.stats = ROMPStats()
         #: the delivery rule (paper §6 by default)
         self.ordering: OrderingDiscipline = discipline(group, self)
@@ -360,6 +396,7 @@ class ROMP:
             return
         self._gate_members = m
         self._gate_set = frozenset(m)
+        self._stability_dirty = True
         cover = [(self._order_ts.get(p, 0), p) for p in m]
         heapq.heapify(cover)
         self._cover_heap = cover
@@ -410,7 +447,8 @@ class ROMP:
     def receive(self, msg: FTMPMessage) -> None:
         """A reliable message, delivered by RMP in source order."""
         h = msg.header
-        self.observe_header(h)
+        if h is not self.observed:
+            self.observe_header(h)
         self.advance_order_ts(h.source, h.timestamp)
         self._sync_gate()
         if h.message_type in TOTALLY_ORDERED_TYPES:
@@ -427,7 +465,8 @@ class ROMP:
     def receive_heartbeat(self, msg: HeartbeatMessage) -> None:
         """A heartbeat whose seq is contiguous with its source's stream."""
         h = msg.header
-        self.observe_header(h)
+        if h is not self.observed:
+            self.observe_header(h)
         self.advance_order_ts(h.source, h.timestamp)
         self.evaluate()
 
@@ -462,6 +501,7 @@ class ROMP:
         """Raise our positive acknowledgement to ``ts`` (never lowers it)."""
         if ts > self._ack:
             self._ack = ts
+            self._stability_dirty = True
             if self._g.pid in self._gate_set:
                 heapq.heappush(self._ack_heap, (ts, self._g.pid))
 
@@ -494,6 +534,22 @@ class ROMP:
             heapq.heappop(heap)
         return 0  # unreachable in practice: every member keeps a live entry
 
+    def gating(self) -> Optional[Dict[str, object]]:
+        """What the delivery gate waits on, for diagnostics (on demand).
+
+        ``member`` is the member at the top of the lazy cover heap — the
+        one whose stream was heard least far — ``cover_ts`` its order
+        timestamp, and ``head`` the ``(timestamp, source)`` key at the
+        head of the discipline's queue (None when empty).  None when the
+        membership is empty.
+        """
+        cover = self._cover_ts()
+        if cover is None:
+            return None
+        heap = self._cover_heap
+        return {"member": heap[0][1] if heap else None, "cover_ts": cover,
+                "head": self.ordering.head()}
+
     def cover_timestamp(self) -> int:
         """Public cover accessor: the stream heard contiguously from every
         member (the overlay aggregation's per-member input)."""
@@ -507,6 +563,7 @@ class ROMP:
         # floor); compute it once and thread the value through the three
         # consumers — this runs on every ack advance under load
         stable = self.stability_timestamp()
+        self._stability_dirty = self._floor_moves
         self.ordering.release_stable(stable)
         self._notify_stability(stable)
         if not self._g.config.buffer_gc_enabled:
@@ -522,10 +579,15 @@ class ROMP:
 
         Stability can also jump without new traffic — e.g. a fault view
         removing the slowest member — so :meth:`evaluate` calls this too,
-        not just the ack-advance path.
+        not just the ack-advance path; without ``stable`` it recomputes
+        only when the dirty mark says an input moved.
         """
         if stable is None:
+            self._sync_gate()  # a replaced membership sets the mark
+            if not self._stability_dirty:
+                return
             stable = self.stability_timestamp()
+            self._stability_dirty = self._floor_moves
         if stable > self._stable_notified:
             self._stable_notified = stable
             self._g.on_stability_advance(stable)
@@ -620,6 +682,7 @@ class ROMP:
         self._peer_ack.pop(src, None)
         # the min trackers may hold entries for the purged source whose
         # live value just vanished; force a rebuild at the next query
+        # (which also marks stability dirty)
         self._gate_members = None
 
     def order_ts(self, src: int) -> int:

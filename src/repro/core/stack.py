@@ -421,6 +421,7 @@ class FTMPStack:
                 "queue_depth": g.romp.queued(),
                 "ack_timestamp": g.romp.ack_timestamp,
                 "stability_timestamp": g.romp.stability_timestamp(),
+                "gating": g.romp.gating(),
                 "buffer_messages": len(g.buffer),
                 "buffer_bytes": g.buffer.bytes,
                 "nacks_sent": g.rmp.stats.nacks_sent,

@@ -33,6 +33,7 @@ __all__ = [
     "GIOPMessage",
     "encode_giop",
     "decode_giop",
+    "is_framed_reply",
 ]
 
 GIOP_MAGIC = b"GIOP"
@@ -212,6 +213,15 @@ def encode_giop(msg: GIOPMessage) -> bytes:
     head.octet(int(h.message_type))
     head.ulong(h.message_size)
     return head.getvalue() + payload
+
+
+def is_framed_reply(data: bytes) -> bool:
+    """True when ``data`` passes :func:`decode_giop`'s framing checks as a
+    Reply — magic, message type and size field — without parsing the body."""
+    return (len(data) >= _HEADER_LEN and data[:4] == GIOP_MAGIC
+            and data[7] == GIOPMessageType.REPLY
+            and int.from_bytes(data[8:12], "little" if data[6] == 1 else "big")
+            == len(data) - _HEADER_LEN)
 
 
 def decode_giop(data: bytes) -> GIOPMessage:

@@ -51,6 +51,7 @@ from ..giop import (
     encode_values,
 )
 from ..giop.fragmentation import FragmentationError, Reassembler, fragment_giop
+from ..giop.messages import is_framed_reply
 from .futures import InvocationFuture
 from .orb import ORB
 from .poa import SET_STATE_OP
@@ -286,19 +287,23 @@ class FTMPAdapter(Listener):
             self.downstream.on_deliver(delivery)
             return
         payload = delivery.payload
+        cid = delivery.connection_id
         try:
             if payload[:4] == b"GIOP":
                 # fragments of one message arrive FIFO per source (RMP)
-                payload = self._reassembler.push(
-                    (delivery.connection_id, delivery.source), payload
-                )
+                payload = self._reassembler.push((cid, delivery.source), payload)
                 if payload is None:
                     return  # fragmented message still incomplete
+                if (is_framed_reply(payload)
+                        and (cid, delivery.request_num) not in self._pending):
+                    # a sibling's or duplicate Reply nobody awaits: only
+                    # its number is recorded, so it is never decoded
+                    self._reply_unawaited(cid, delivery.request_num)
+                    return
             msg = decode_giop(payload)
         except (MarshalError, FragmentationError):
             self.downstream.on_deliver(delivery)
             return
-        cid = delivery.connection_id
         if isinstance(msg, RequestMessage):
             self._on_request(cid, delivery.group, delivery.request_num, msg)
         elif isinstance(msg, ReplyMessage):
@@ -380,11 +385,15 @@ class FTMPAdapter(Listener):
         # a pending future always wins, even when the reply is nominally a
         # duplicate — a log replay deliberately solicits a re-sent reply
         fut = self._pending.pop((cid, request_num), None)
-        duplicate = self.stack.duplicates.is_duplicate(cid, request_num, "reply")
-        if fut is not None:
-            self.stats_replies_matched += 1
-            self.orb.complete_from_reply(fut, msg)
-        elif duplicate:
+        if fut is None:
+            self._reply_unawaited(cid, request_num)
+            return
+        self.stack.duplicates.is_duplicate(cid, request_num, "reply")
+        self.stats_replies_matched += 1
+        self.orb.complete_from_reply(fut, msg)
+
+    def _reply_unawaited(self, cid: ConnectionId, request_num: int) -> None:
+        if self.stack.duplicates.is_duplicate(cid, request_num, "reply"):
             self.stats_duplicates_suppressed += 1
 
     def on_connection(self, event: ConnectionEvent) -> None:

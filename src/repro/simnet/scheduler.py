@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from operator import itemgetter
 from typing import Any, Callable, List, Optional
 
 from ..transport import NamedTimerSet  # noqa: F401  (re-export; moved to repro.transport)
@@ -31,21 +32,28 @@ class SimTimeError(Exception):
     """Raised when an event is scheduled in the past."""
 
 
-class Event:
+class Event(list):
     """A scheduled callback.
 
     Events are created through :meth:`Scheduler.schedule` / :meth:`at`;
     user code only ever needs :meth:`cancel` and :attr:`time`.
+
+    An event is the list ``[time, seq, fn, args]``, and the scheduler's
+    heap holds the events themselves: ``seq`` is unique, so list
+    comparison decides on ``(time, seq)`` in C and never reaches ``fn``,
+    without a separate heap-entry object per pending event.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sched")
+    __slots__ = ("cancelled", "_sched")
+
+    time = property(itemgetter(0))
+    seq = property(itemgetter(1))
+    fn = property(itemgetter(2))
+    args = property(itemgetter(3))
 
     def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
                  sched: Optional["Scheduler"] = None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
+        list.__init__(self, (time, seq, fn, args))
         self.cancelled = False
         #: owning scheduler while the event sits on its heap (detached when
         #: popped, so a late cancel() of an already-fired event is a no-op
@@ -61,9 +69,6 @@ class Event:
         if sched is not None:
             self._sched = None
             sched._on_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -227,11 +232,12 @@ class Scheduler:
             ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 continue
+            t, _seq, fn, args = ev
             ev._sched = None
             self._live -= 1
-            self._now = ev.time
+            self._now = t
             self._events_processed += 1
-            ev.fn(*ev.args)
+            fn(*args)
             return True
         return False
 
@@ -268,14 +274,15 @@ class Scheduler:
             if ev.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            if ev.time > time:
+            t, _seq, fn, args = ev
+            if t > time:
                 break
             heapq.heappop(self._heap)
             ev._sched = None
             self._live -= 1
-            self._now = ev.time
+            self._now = t
             self._events_processed += 1
-            ev.fn(*ev.args)
+            fn(*args)
             ran += 1
             if max_events is not None and ran >= max_events:
                 return ran

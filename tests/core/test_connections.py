@@ -175,3 +175,23 @@ def test_duplicate_detector_out_of_order_watermark():
     for n in (1, 2, 3):
         assert d.is_duplicate(CID, n, "request")
     assert d.seen_count(CID, "request") == 3
+
+
+def test_duplicate_detector_in_order_numbers_allocate_no_sparse_set():
+    d = DuplicateDetector()
+    for n in range(1, 10_001):
+        assert not d.is_duplicate(CID, n, "request")
+    assert d._sparse == {}
+    assert d.seen_count(CID, "request") == 10_000
+    # out-of-order and repeated numbers are still caught, and the sparse
+    # set is dropped again once the watermark swallows it
+    assert not d.is_duplicate(CID, 10_003, "request")
+    assert d.is_duplicate(CID, 10_003, "request")
+    assert d.is_duplicate(CID, 9_999, "request")
+    assert not d.is_duplicate(CID, 10_002, "request")
+    assert d.seen_count(CID, "request") == 10_002
+    assert not d.is_duplicate(CID, 10_001, "request")
+    assert d._sparse == {}
+    assert d.seen_count(CID, "request") == 10_003
+    assert d.is_duplicate(CID, 10_002, "request")
+    assert d.duplicates_suppressed == 3

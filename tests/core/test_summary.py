@@ -31,3 +31,21 @@ def test_summary_shows_fault_state():
     c.run_for(1.0)
     g = c.stacks[1].summary()["groups"][1]
     assert g["membership"] == (1, 2)
+
+
+def test_summary_names_the_member_gating_delivery():
+    from repro.core import FTMPConfig
+
+    # a silenced member that is not (yet) suspected holds the queue
+    c = make_cluster((1, 2, 3), config=FTMPConfig(suspect_timeout=10.0))
+    c.run_for(0.05)
+    c.net.crash(2)
+    c.run_for(0.05)
+    c.stacks[1].multicast(1, b"held")
+    c.run_for(0.2)
+    g = c.stacks[1].summary()["groups"][1]
+    assert g["queue_depth"] == 1
+    gating = g["gating"]
+    assert gating["member"] == 2
+    assert gating["head"][1] == 1  # our own message heads the queue
+    assert gating["cover_ts"] < gating["head"][0]

@@ -102,3 +102,70 @@ def test_adapter_stats_accumulate():
     assert hosts[1][2].stats_requests_executed == 3
     assert cadapter.stats_replies_matched == 3
     assert cadapter.stats_duplicates_suppressed >= 3  # second replica's replies
+
+
+# -- the reply fast path: a Reply nobody awaits is never decoded ----------
+def _reply_delivery(cadapter, payload, request_num=41):
+    from repro.core import ConnectionId, Delivery
+
+    cid = ConnectionId(client_domain=3, client_group=200,
+                       server_domain=7, server_group=100)
+    return cid, Delivery(group=9, source=1, sequence_number=request_num,
+                         timestamp=request_num, connection_id=cid,
+                         request_num=request_num, payload=payload,
+                         delivered_at=0.0)
+
+
+def _reply_bytes(value, request_num=41):
+    from repro.giop import GIOPHeader, GIOPMessageType, ReplyMessage, encode_giop, encode_values
+
+    return encode_giop(ReplyMessage(header=GIOPHeader(GIOPMessageType.REPLY),
+                                    request_id=request_num,
+                                    body=encode_values([value], True)))
+
+
+def test_malformed_reply_still_reaches_downstream():
+    downstream = RecordingListener()
+    net, corb, cstack, cadapter, hosts = build(downstream=downstream)
+    good = _reply_bytes(7)
+    for bad in (good + b"\0",                       # size field short of the body
+                good[:8] + b"\xff\0\0\0" + good[12:],   # size field past it
+                good[:10]):                          # not even a header
+        _cid, d = _reply_delivery(cadapter, bad)
+        cadapter.on_deliver(d)
+    assert [d.payload for d in downstream.deliveries] == [
+        good + b"\0", good[:8] + b"\xff\0\0\0" + good[12:], good[:10]]
+    assert cadapter.stats_duplicates_suppressed == 0
+
+
+def test_unawaited_reply_is_recorded_without_decoding(monkeypatch):
+    from repro.orb import ftiop
+
+    downstream = RecordingListener()
+    net, corb, cstack, cadapter, hosts = build(downstream=downstream)
+
+    def no_decode(data):
+        raise AssertionError("an unawaited Reply was decoded")
+
+    monkeypatch.setattr(ftiop, "decode_giop", no_decode)
+    cid, d = _reply_delivery(cadapter, _reply_bytes(7))
+    cadapter.on_deliver(d)  # a sibling's reply: first copy, nothing awaits it
+    assert cadapter.stats_duplicates_suppressed == 0
+    cadapter.on_deliver(d)  # the next copy is a duplicate
+    assert cadapter.stats_duplicates_suppressed == 1
+    assert cstack.duplicates.seen_count(cid, "reply") == 1
+    assert downstream.deliveries == []
+
+
+def test_awaited_reply_completes_its_future():
+    from repro.orb.futures import InvocationFuture
+
+    net, corb, cstack, cadapter, hosts = build()
+    cid, d = _reply_delivery(cadapter, _reply_bytes(7))
+    fut = InvocationFuture()
+    cadapter._pending[(cid, d.request_num)] = fut
+    cadapter.on_deliver(d)
+    assert fut.done and fut.result() == 7
+    assert cadapter.stats_replies_matched == 1
+    cadapter.on_deliver(d)  # a sibling replica's copy of the same reply
+    assert cadapter.stats_duplicates_suppressed == 1
